@@ -1,13 +1,16 @@
 """Shared benchmark plumbing.
 
-Every benchmark regenerates one artifact of the paper (a table or a
-figure) through the experiment registry, times it with
+:func:`bench_experiment` is the body of ``bench_experiments.py``'s
+one test, parametrised over the experiment ids: it regenerates one
+artifact of the paper (a table, a figure, an in-text experiment or
+an ablation) through the experiment registry, times it with
 pytest-benchmark, prints the regenerated rows/series, and archives
 them under ``benchmarks/results/<exp_id>.txt`` so the output survives
 pytest's capture.
 
-The standalone wall-clock scripts (``bench_parallel_runner.py``,
-``bench_trace_overhead.py``, ``bench_check_overhead.py``) write their
+The standalone wall-clock scripts (``bench_engine.py``,
+``bench_parallel_runner.py``, ``bench_trace_overhead.py``,
+``bench_check_overhead.py`` and the three sweep scripts) write their
 ``BENCH_*.json`` reports through :func:`write_bench_json`, which
 stamps every file with :func:`bench_meta` — host, code revision,
 package/cache versions, generation time.  Wall-clock numbers are

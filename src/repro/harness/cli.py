@@ -34,7 +34,7 @@ import contextlib
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 # The CLI is written against the stable public surface (repro.__all__)
 # wherever it reaches for library behaviour; only harness plumbing
@@ -43,14 +43,75 @@ from typing import List, Optional
 from repro import (ConfigurationError, ResultCache, Scale, run_context,
                    trace_session)
 from repro.harness.cache import default_cache_dir, default_ledger_path
-from repro.harness.experiments import (REGISTRY, ablation_sweep_options,
-                                       failure_sweep_options,
-                                       fault_sweep_options,
-                                       list_experiments, run_experiment,
-                                       sync_sweep_options)
+from repro.harness.experiments import (REGISTRY, experiment_options,
+                                       list_experiments, run_experiment)
 from repro.ledger import Ledger, ledger_session
 from repro.net.faults import parse_crashes, parse_schedule
 from repro.trace import write_chrome_trace, write_metrics_jsonl
+
+#: Every sweep flag -> (experiment, options field, parser, argparse
+#: keywords).  ``parser`` turns the parsed flag value (a list for
+#: repeatable flags) into the options field's value.
+SWEEP_FLAGS: Dict[str, Tuple[str, str, Callable[[Any], Any],
+                             Dict[str, Any]]] = {
+    "--loss-rate": ("fault-sweep", "loss_rates", tuple, dict(
+        type=float, action="append", metavar="P",
+        help="per-message drop probability (repeatable; overrides the "
+             "default rate grid)")),
+    "--fault-seed": ("fault-sweep", "seed", int, dict(
+        type=int, metavar="N",
+        help="seed of the deterministic fault plane (default: 42)")),
+    "--fault-schedule": ("fault-sweep", "schedule", parse_schedule, dict(
+        metavar="SPEC",
+        help="targeted fault rules, e.g. 'drop:diff_request:src=2:"
+             "nth=3; dup:lock_grant'")),
+    "--crash": ("failure-sweep", "crashes", parse_crashes, dict(
+        metavar="SPEC",
+        help="explicit crash-stop events, e.g. 'crash@node3:t=500000; "
+             "crash@node1:t=2000000:rejoin=9000000' (overrides the "
+             "--crash-frac grid)")),
+    "--crash-frac": ("failure-sweep", "fracs", tuple, dict(
+        type=float, action="append", metavar="F",
+        help="crash the last node at fraction F of the clean run "
+             "(repeatable; default: 0.25 and 0.5)")),
+    "--detect-cycles": ("failure-sweep", "detect_cycles", int, dict(
+        type=int, metavar="N",
+        help="keepalive backstop — a crashed node is declared dead "
+             "within N cycles even without retransmission traffic "
+             "(default: 1000000)")),
+    "--sync-lock": ("sync-sweep", "locks", tuple, dict(
+        action="append", metavar="ALG",
+        help="lock algorithm to include (repeatable; token/mcs/ticket/"
+             "combining; default: all)")),
+    "--sync-barrier": ("sync-sweep", "barriers", tuple, dict(
+        action="append", metavar="ALG",
+        help="barrier algorithm to include (repeatable; central/tree/"
+             "combining; default: all)")),
+    "--sync-workload": ("sync-sweep", "workloads", tuple, dict(
+        action="append", metavar="NAME",
+        help="workload to include (repeatable; default: tsp18 and "
+             "mwater)")),
+    "--sync-machine": ("sync-sweep", "machines", tuple, dict(
+        action="append", metavar="NAME",
+        help="machine to include (repeatable; default: as, ah, hs)")),
+    "--ablate-mechanism": ("ablation-sweep", "mechanisms", tuple, dict(
+        action="append", metavar="NAME",
+        help="mechanism to sweep (repeatable; twins/diffs/lazy_fetch/"
+             "lazy_release/piggyback/diff_merge/backoff; default: all "
+             "seven)")),
+    "--ablate-workload": ("ablation-sweep", "workloads", tuple, dict(
+        action="append", metavar="NAME",
+        help="workload to include (repeatable; default: sor_sim, "
+             "tsp19, mwater)")),
+    "--ablate-machine": ("ablation-sweep", "machines", tuple, dict(
+        action="append", metavar="NAME",
+        help="software machine to include (repeatable; default: as "
+             "and hs)")),
+    "--ablate-grid": ("ablation-sweep", "grids", tuple, dict(
+        action="append", metavar="GRID",
+        help="spec grid — 'loo' (leave one out) and/or 'only' (one "
+             "mechanism kept); repeatable; default: loo")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,56 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write one metrics JSON line per "
                              "machine run (machine, app, cycles, "
                              "counters)")
-    runner.add_argument("--loss-rate", type=float, action="append",
-                        dest="loss_rates", metavar="P", default=None,
-                        help="fault-sweep: per-message drop probability "
-                             "(repeatable; overrides the default rate "
-                             "grid)")
-    runner.add_argument("--fault-seed", type=int, default=None,
-                        metavar="N",
-                        help="fault-sweep: seed of the deterministic "
-                             "fault plane (default: 42)")
-    runner.add_argument("--fault-schedule", default=None, metavar="SPEC",
-                        help="fault-sweep: targeted fault rules, e.g. "
-                             "'drop:diff_request:src=2:nth=3; "
-                             "dup:lock_grant'")
-    runner.add_argument("--crash", default=None, metavar="SPEC",
-                        help="failure-sweep: explicit crash-stop "
-                             "events, e.g. 'crash@node3:t=500000; "
-                             "crash@node1:t=2000000:rejoin=9000000' "
-                             "(overrides the --crash-frac grid)")
-    runner.add_argument("--crash-frac", type=float, action="append",
-                        dest="crash_fracs", metavar="F", default=None,
-                        help="failure-sweep: crash the last node at "
-                             "fraction F of the clean run (repeatable; "
-                             "default: 0.25 and 0.5)")
-    runner.add_argument("--detect-cycles", type=int, default=None,
-                        metavar="N",
-                        help="failure-sweep: keepalive backstop — a "
-                             "crashed node is declared dead within N "
-                             "cycles even without retransmission "
-                             "traffic (default: 1000000)")
-    runner.add_argument("--sync-lock", action="append",
-                        dest="sync_locks", metavar="ALG", default=None,
-                        help="sync-sweep: lock algorithm to include "
-                             "(repeatable; token/mcs/ticket/combining; "
-                             "default: all)")
-    runner.add_argument("--sync-barrier", action="append",
-                        dest="sync_barriers", metavar="ALG", default=None,
-                        help="sync-sweep: barrier algorithm to include "
-                             "(repeatable; central/tree/combining; "
-                             "default: all)")
-    runner.add_argument("--sync-workload", action="append",
-                        dest="sync_workloads", metavar="NAME",
-                        default=None,
-                        help="sync-sweep: workload to include "
-                             "(repeatable; default: tsp18 and mwater)")
-    runner.add_argument("--sync-machine", action="append",
-                        dest="sync_machines", metavar="NAME",
-                        default=None,
-                        help="sync-sweep: machine to include "
-                             "(repeatable; default: as, ah, hs)")
-    _add_ablation_options(runner)
+    _add_sweep_flags(runner)
     _add_exec_options(runner)
     runner.set_defaults(func=cmd_run)
 
@@ -224,37 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
     ablater.add_argument("--scale", choices=[s.value for s in Scale],
                          default=Scale.TEST.value,
                          help="problem-size scale (default: test)")
-    _add_ablation_options(ablater)
+    _add_sweep_flags(ablater, only="ablation-sweep")
     _add_exec_options(ablater)
     ablater.set_defaults(func=cmd_ablate)
     return parser
 
 
-def _add_ablation_options(sub: argparse.ArgumentParser) -> None:
-    """--ablate-* grid options, shared by `run` and `ablate`."""
-    sub.add_argument("--ablate-mechanism", action="append",
-                     dest="ablate_mechanisms", metavar="NAME",
-                     default=None,
-                     help="ablation-sweep: mechanism to sweep "
-                          "(repeatable; twins/diffs/lazy_fetch/"
-                          "lazy_release/piggyback/diff_merge/backoff; "
-                          "default: all seven)")
-    sub.add_argument("--ablate-workload", action="append",
-                     dest="ablate_workloads", metavar="NAME",
-                     default=None,
-                     help="ablation-sweep: workload to include "
-                          "(repeatable; default: sor_sim, tsp19, "
-                          "mwater)")
-    sub.add_argument("--ablate-machine", action="append",
-                     dest="ablate_machines", metavar="NAME",
-                     default=None,
-                     help="ablation-sweep: software machine to include "
-                          "(repeatable; default: as and hs)")
-    sub.add_argument("--ablate-grid", action="append",
-                     dest="ablate_grids", metavar="GRID", default=None,
-                     help="ablation-sweep: spec grid — 'loo' (leave "
-                          "one out) and/or 'only' (one mechanism "
-                          "kept); repeatable; default: loo")
+def _add_sweep_flags(sub: argparse.ArgumentParser,
+                     only: Optional[str] = None) -> None:
+    """Add the :data:`SWEEP_FLAGS` (of experiment ``only``, if given)."""
+    for flag, (exp_id, _field, _parse, kwargs) in SWEEP_FLAGS.items():
+        if only in (None, exp_id):
+            sub.add_argument(flag, **{**kwargs,
+                                      "help": f"{exp_id}: {kwargs['help']}"})
 
 
 def _add_exec_options(sub: argparse.ArgumentParser) -> None:
@@ -321,76 +315,40 @@ def _resolve_ids(ids: List[str]) -> Optional[List[str]]:
     return ids
 
 
-def _fault_overrides(args: argparse.Namespace, ids: List[str]):
-    """Build fault_sweep_options kwargs from CLI flags (or None)."""
-    overrides = {}
-    if args.loss_rates is not None:
-        overrides["loss_rates"] = tuple(args.loss_rates)
-    if args.fault_seed is not None:
-        overrides["seed"] = args.fault_seed
-    if args.fault_schedule is not None:
-        overrides["schedule"] = parse_schedule(args.fault_schedule)
-    if overrides and "fault-sweep" not in ids:
-        raise ConfigurationError(
-            "--loss-rate/--fault-seed/--fault-schedule parameterize the "
-            "'fault-sweep' experiment, which is not among the ids to "
-            "run")
-    return overrides or None
+def _sweep_overrides(args: argparse.Namespace,
+                     ids: Sequence[str]) -> Dict[str, Dict[str, Any]]:
+    """exp_id -> :func:`experiment_options` overrides from the flags.
+
+    Raises :class:`ConfigurationError` when a flag's experiment is not
+    among ``ids``.
+    """
+    overrides: Dict[str, Dict[str, Any]] = {}
+    for flag, (exp_id, field, parse, _kwargs) in SWEEP_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            overrides.setdefault(exp_id, {})[field] = parse(value)
+    for exp_id in overrides:
+        if exp_id not in ids:
+            flags = "/".join(flag for flag, entry in SWEEP_FLAGS.items()
+                             if entry[0] == exp_id)
+            raise ConfigurationError(
+                f"{flags} parameterize the '{exp_id}' experiment, which "
+                "is not among the ids to run")
+    return overrides
 
 
-def _failure_overrides(args: argparse.Namespace, ids: List[str]):
-    """Build failure_sweep_options kwargs from CLI flags (or None)."""
-    overrides = {}
-    if args.crash is not None:
-        overrides["crashes"] = parse_crashes(args.crash)
-    if args.crash_fracs is not None:
-        overrides["fracs"] = tuple(args.crash_fracs)
-    if args.detect_cycles is not None:
-        overrides["detect_cycles"] = args.detect_cycles
-    if overrides and "failure-sweep" not in ids:
-        raise ConfigurationError(
-            "--crash/--crash-frac/--detect-cycles parameterize the "
-            "'failure-sweep' experiment, which is not among the ids "
-            "to run")
-    return overrides or None
-
-
-def _sync_overrides(args: argparse.Namespace, ids: List[str]):
-    """Build sync_sweep_options kwargs from CLI flags (or None)."""
-    overrides = {}
-    if args.sync_locks is not None:
-        overrides["locks"] = tuple(args.sync_locks)
-    if args.sync_barriers is not None:
-        overrides["barriers"] = tuple(args.sync_barriers)
-    if args.sync_workloads is not None:
-        overrides["workloads"] = tuple(args.sync_workloads)
-    if args.sync_machines is not None:
-        overrides["machines"] = tuple(args.sync_machines)
-    if overrides and "sync-sweep" not in ids:
-        raise ConfigurationError(
-            "--sync-lock/--sync-barrier/--sync-workload/--sync-machine "
-            "parameterize the 'sync-sweep' experiment, which is not "
-            "among the ids to run")
-    return overrides or None
-
-
-def _ablation_overrides(args: argparse.Namespace, ids: List[str]):
-    """Build ablation_sweep_options kwargs from CLI flags (or None)."""
-    overrides = {}
-    if args.ablate_mechanisms is not None:
-        overrides["mechanisms"] = tuple(args.ablate_mechanisms)
-    if args.ablate_workloads is not None:
-        overrides["workloads"] = tuple(args.ablate_workloads)
-    if args.ablate_machines is not None:
-        overrides["machines"] = tuple(args.ablate_machines)
-    if args.ablate_grids is not None:
-        overrides["grids"] = tuple(args.ablate_grids)
-    if overrides and "ablation-sweep" not in ids:
-        raise ConfigurationError(
-            "--ablate-mechanism/--ablate-workload/--ablate-machine/"
-            "--ablate-grid parameterize the 'ablation-sweep' "
-            "experiment, which is not among the ids to run")
-    return overrides or None
+@contextlib.contextmanager
+def _session(args: argparse.Namespace, cache: Optional[ResultCache],
+             ledger: Optional[Ledger],
+             overrides: Optional[Dict[str, Dict[str, Any]]] = None):
+    """Sweep options, ledger session and run context, entered together."""
+    with contextlib.ExitStack() as stack:
+        for exp_id, kwargs in (overrides or {}).items():
+            stack.enter_context(experiment_options(exp_id, **kwargs))
+        stack.enter_context(ledger_session(ledger))
+        stack.enter_context(run_context(jobs=args.jobs, cache=cache,
+                                        ledger=ledger, quiet=args.quiet))
+        yield
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -399,10 +357,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if ids is None:
         return 2
     try:
-        fault_overrides = _fault_overrides(args, ids)
-        failure_overrides = _failure_overrides(args, ids)
-        sync_overrides = _sync_overrides(args, ids)
-        ablation_overrides = _ablation_overrides(args, ids)
+        overrides = _sweep_overrides(args, ids)
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -420,18 +375,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                   f"expected shape: {REGISTRY[exp_id].shape_note}]")
             print()
 
-    fault_ctx = (fault_sweep_options(**fault_overrides)
-                 if fault_overrides else contextlib.nullcontext())
-    failure_ctx = (failure_sweep_options(**failure_overrides)
-                   if failure_overrides else contextlib.nullcontext())
-    sync_ctx = (sync_sweep_options(**sync_overrides)
-                if sync_overrides else contextlib.nullcontext())
-    ablation_ctx = (ablation_sweep_options(**ablation_overrides)
-                    if ablation_overrides else contextlib.nullcontext())
-    with fault_ctx, failure_ctx, sync_ctx, ablation_ctx, \
-            ledger_session(ledger), \
-            run_context(jobs=args.jobs, cache=cache, ledger=ledger,
-                        quiet=args.quiet):
+    with _session(args, cache, ledger, overrides):
         if args.metrics_out:
             # Metrics-only session: collects every run with zero
             # per-event overhead (no tracers are created).
@@ -494,9 +438,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from repro.harness.validate import format_results, run_validation
     cache = _make_cache(args)
     ledger = _make_ledger(args)
-    with ledger_session(ledger), \
-            run_context(jobs=args.jobs, cache=cache, ledger=ledger,
-                        quiet=args.quiet):
+    with _session(args, cache, ledger):
         results = run_validation(Scale(args.scale))
     for line in format_results(results):
         print(line)
@@ -517,9 +459,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 2
     cache = _make_cache(args)
     ledger = _make_ledger(args)
-    with ledger_session(ledger), \
-            run_context(jobs=args.jobs, cache=cache, ledger=ledger,
-                        quiet=args.quiet):
+    with _session(args, cache, ledger):
         outcome = run_report(figures=figures, scale=Scale(args.scale),
                              write=args.write, log=print)
     _report_cache(cache, ledger)
@@ -574,17 +514,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     scale = Scale(args.scale)
     try:
-        overrides = _ablation_overrides(args, ["ablation-sweep"])
+        overrides = _sweep_overrides(args, ["ablation-sweep"])
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
     cache = _make_cache(args)
     ledger = _make_ledger(args)
-    ablation_ctx = (ablation_sweep_options(**overrides)
-                    if overrides else contextlib.nullcontext())
-    with ablation_ctx, ledger_session(ledger), \
-            run_context(jobs=args.jobs, cache=cache, ledger=ledger,
-                        quiet=args.quiet):
+    with _session(args, cache, ledger, overrides):
         start = time.time()
         report = run_experiment("ablation-sweep", scale)
         elapsed = time.time() - start

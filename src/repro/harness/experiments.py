@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.ablate import (MECHANISMS, AblationSpec, importance_score,
                           metric_deltas, run_metrics)
@@ -51,15 +51,22 @@ class Experiment:
     paper_ref: str
     shape_note: str
     run: Callable[[Scale], Report]
+    #: Frozen dataclass of the experiment's sweep parameters, read
+    #: through :func:`options_for`; ``None`` when it takes none.
+    options: Optional[type] = None
 
 
 REGISTRY: Dict[str, Experiment] = {}
 
+#: exp_id -> stack of options entered via :func:`experiment_options`.
+_OPTIONS: Dict[str, List[Any]] = {}
 
-def _register(exp_id: str, title: str, paper_ref: str, shape_note: str):
+
+def _register(exp_id: str, title: str, paper_ref: str, shape_note: str,
+              options: Optional[type] = None):
     def wrap(fn: Callable[[Scale], Report]) -> Callable[[Scale], Report]:
         REGISTRY[exp_id] = Experiment(exp_id, title, paper_ref,
-                                      shape_note, fn)
+                                      shape_note, fn, options)
         return fn
     return wrap
 
@@ -71,6 +78,39 @@ def get_experiment(exp_id: str) -> Experiment:
         raise ConfigurationError(
             f"unknown experiment '{exp_id}'; choose from "
             f"{sorted(REGISTRY)}") from None
+
+
+def _options_type(exp_id: str) -> type:
+    options = get_experiment(exp_id).options
+    if options is None:
+        raise ConfigurationError(f"experiment '{exp_id}' takes no options")
+    return options
+
+
+@contextmanager
+def experiment_options(exp_id: str, **overrides: Any) -> Iterator[Any]:
+    """Run ``exp_id`` with ``overrides`` of its options in the context.
+
+    Contexts nest like ``run_context``: the innermost one wins, and
+    other experiments keep their own options.
+    """
+    opts = _options_type(exp_id)(**overrides)
+    stack = _OPTIONS.setdefault(exp_id, [])
+    stack.append(opts)
+    try:
+        yield opts
+    finally:
+        stack.pop()
+
+
+def options_for(exp_id: str) -> Any:
+    """The options ``exp_id`` runs with right now.
+
+    The innermost :func:`experiment_options` override, or the
+    experiment's default options outside any.
+    """
+    stack = _OPTIONS.get(exp_id)
+    return stack[-1] if stack else _options_type(exp_id)()
 
 
 ALL_WORKLOADS = ("ilink_clp", "ilink_bad", "sor_large", "sor_small",
@@ -633,7 +673,7 @@ def run_a3(scale: Scale) -> Report:
 # ======================================================================
 
 #: Loss rates swept by ``fault-sweep`` unless overridden via
-#: :func:`fault_sweep_options` (the CLI's ``--loss-rate`` flags).
+#: :func:`experiment_options` (the CLI's ``--loss-rate`` flags).
 DEFAULT_LOSS_RATES: Tuple[float, ...] = (0.0, 0.005, 0.02, 0.05)
 
 #: One bandwidth-bound, one sync-light, one lock-heavy workload — the
@@ -654,30 +694,13 @@ class FaultSweepOptions:
                          schedule=self.schedule)
 
 
-_fault_options: List[FaultSweepOptions] = []
-
-
-@contextmanager
-def fault_sweep_options(**kwargs):
-    """Ambient overrides for ``fault-sweep`` (mirrors ``run_context``)."""
-    opts = FaultSweepOptions(**kwargs)
-    _fault_options.append(opts)
-    try:
-        yield opts
-    finally:
-        _fault_options.pop()
-
-
-def current_fault_options() -> FaultSweepOptions:
-    return _fault_options[-1] if _fault_options else FaultSweepOptions()
-
-
 @_register("fault-sweep", "Speedup vs. network loss rate (TreadMarks)",
            "robustness",
            "Speedup decays monotonically as loss rises; retransmission "
-           "and duplicate counters grow from zero; no run hangs.")
+           "and duplicate counters grow from zero; no run hangs.",
+           options=FaultSweepOptions)
 def run_fault_sweep(scale: Scale) -> Report:
-    opts = current_fault_options()
+    opts = options_for("fault-sweep")
     procs = max(EXPERIMENTAL_PROCS)
     # One plan for the (workload x loss-rate) grid.  The rate-0 plan is
     # *disabled*, so its machine fingerprints — and cache entries —
@@ -687,10 +710,10 @@ def run_fault_sweep(scale: Scale) -> Report:
     layout = []
     for workload in FAULT_SWEEP_WORKLOADS:
         app = make_app(workload, scale)
-        base_index = plan.add(DecTreadMarksMachine(), app, 1)
+        base_index = plan.add(make_machine("treadmarks"), app, 1)
         entries = []
         for rate in opts.loss_rates:
-            machine = DecTreadMarksMachine(faults=opts.plan(rate))
+            machine = make_machine("treadmarks", faults=opts.plan(rate))
             entries.append((rate, plan.add(machine, app, procs)))
         layout.append((workload, base_index, entries))
     results = execute_plan(plan)
@@ -757,24 +780,6 @@ class FailureSweepOptions:
     detect_cycles: int = 1_000_000
 
 
-_failure_options: List[FailureSweepOptions] = []
-
-
-@contextmanager
-def failure_sweep_options(**kwargs):
-    """Ambient overrides for ``failure-sweep`` (mirrors ``run_context``)."""
-    opts = FailureSweepOptions(**kwargs)
-    _failure_options.append(opts)
-    try:
-        yield opts
-    finally:
-        _failure_options.pop()
-
-
-def current_failure_options() -> FailureSweepOptions:
-    return _failure_options[-1] if _failure_options else FailureSweepOptions()
-
-
 def _sweep_num_nodes(mname: str, machine, procs: int) -> int:
     """DSM node count of a sweep cell (crash targets are *nodes*)."""
     if mname == "hs":
@@ -790,9 +795,10 @@ def _sweep_num_nodes(mname: str, machine, procs: int) -> int:
            "byte-identical summaries across serial/pool/warm-cache; "
            "detection latency is bounded by the keepalive backstop and "
            "recovery counters (pages rehomed/lost, locks regenerated, "
-           "barrier reconfigs) come out non-zero.")
+           "barrier reconfigs) come out non-zero.",
+           options=FailureSweepOptions)
 def run_failure_sweep(scale: Scale) -> Report:
-    opts = current_failure_options()
+    opts = options_for("failure-sweep")
     procs = max(SIMULATED_PROCS[scale])
 
     # Phase 1: the clean cells.  These coincide (fingerprints and all)
@@ -885,7 +891,8 @@ def run_failure_sweep(scale: Scale) -> Report:
 SYNC_SWEEP_WORKLOADS: Tuple[str, ...] = ("tsp18", "mwater")
 
 #: The three simulated large-scale architectures; the experimental
-#: machines can be swept too (``sync_sweep_options(machines=...)``)
+#: machines can be swept too (``experiment_options("sync-sweep",
+#: machines=...)``)
 #: but cap at 8 processors where the policies barely separate.
 SYNC_SWEEP_MACHINES: Tuple[str, ...] = ("as", "ah", "hs")
 
@@ -904,33 +911,16 @@ class SyncSweepOptions:
                 for lk in self.locks for bar in self.barriers]
 
 
-_sync_options: List[SyncSweepOptions] = []
-
-
-@contextmanager
-def sync_sweep_options(**kwargs):
-    """Ambient overrides for ``sync-sweep`` (mirrors ``run_context``)."""
-    opts = SyncSweepOptions(**kwargs)
-    _sync_options.append(opts)
-    try:
-        yield opts
-    finally:
-        _sync_options.pop()
-
-
-def current_sync_options() -> SyncSweepOptions:
-    return _sync_options[-1] if _sync_options else SyncSweepOptions()
-
-
 @_register("sync-sweep",
            "Speedup across the lock x barrier design space",
            "DESIGN.md §sync",
            "Tree/combining barriers lift the software machines at high "
            "processor counts (the centralized manager's O(n) handler "
            "serialization is the bottleneck they remove); lock choice "
-           "barely moves DSM apps.  AH is nearly flat across policies.")
+           "barely moves DSM apps.  AH is nearly flat across policies.",
+           options=SyncSweepOptions)
 def run_sync_sweep(scale: Scale) -> Report:
-    opts = current_sync_options()
+    opts = options_for("sync-sweep")
     procs = tuple(SIMULATED_PROCS[scale])
     top = max(procs)
     policies = opts.policies()
@@ -1062,25 +1052,6 @@ class AblationSweepOptions:
         return [(m, AblationSpec.only(m)) for m in self.mechanisms]
 
 
-_ablation_options: List[AblationSweepOptions] = []
-
-
-@contextmanager
-def ablation_sweep_options(**kwargs):
-    """Ambient overrides for ``ablation-sweep`` (mirrors ``run_context``)."""
-    opts = AblationSweepOptions(**kwargs)
-    _ablation_options.append(opts)
-    try:
-        yield opts
-    finally:
-        _ablation_options.pop()
-
-
-def current_ablation_options() -> AblationSweepOptions:
-    return _ablation_options[-1] if _ablation_options else \
-        AblationSweepOptions()
-
-
 @_register("ablation-sweep",
            "Per-mechanism importance over the DSM protocol",
            "DESIGN.md §8",
@@ -1088,9 +1059,10 @@ def current_ablation_options() -> AblationSweepOptions:
            "fetching refetches every invalidated page per sync); "
            "diffs/twins matter most where pages are sparsely written "
            "(Water); piggybacking saves a message per sync pair; "
-           "backoff only separates under loss.")
+           "backoff only separates under loss.",
+           options=AblationSweepOptions)
 def run_ablation_sweep(scale: Scale) -> Report:
-    opts = current_ablation_options()
+    opts = options_for("ablation-sweep")
     top = max(SIMULATED_PROCS[scale])
 
     # One plan for the whole grid.  Each (machine, workload) gets a

@@ -104,15 +104,8 @@ def make_machine(name: str, nprocs: Optional[int] = None, *,
         raise ConfigurationError(
             f"machine '{key}' takes {params_cls.__name__} params, "
             f"got {type(params).__name__}")
-    if faults is not None:
-        kwargs["faults"] = faults
-    if sync is not None:
-        from repro.sync import parse_sync
-        kwargs["sync"] = parse_sync(sync)
-    if ablate is not None:
-        from repro.ablate import parse_ablation
-        kwargs["ablate"] = parse_ablation(ablate)
-    machine = machine_cls(params, **kwargs)
+    machine = machine_cls(params, faults=faults, sync=sync, ablate=ablate,
+                          **kwargs)
     if nprocs is not None and nprocs > machine.max_procs():
         raise ConfigurationError(
             f"{machine.name} supports at most {machine.max_procs()} "

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ablate import parse_ablation
 from repro.dsm.bound import BoundMode
-from repro.errors import ConfigurationError
 from repro.hw.directory import DirectorySystem
 from repro.hw.sync import HwBarrier, HwLockTable, make_hw_barrier, \
     make_hw_locks
@@ -25,7 +23,7 @@ from repro.sim.engine import Engine
 from repro.sim.resource import Resource
 from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.sync import SyncSpec, parse_sync
+from repro.sync import SyncSpec
 from repro.trace.tracer import Category
 
 
@@ -91,24 +89,8 @@ class AllHardwareMachine(Machine):
     def __init__(self, params: Optional[AhParams] = None, *,
                  faults=None, sync: SyncSpec = None,
                  ablate=None) -> None:
-        super().__init__()
-        if faults is not None and faults.enabled:
-            raise ConfigurationError(
-                "ah keeps coherence in hardware over a reliable "
-                "crossbar; fault injection "
-                f"({faults.label()}) applies only to the software DSM "
-                "machines (treadmarks, as, hs)")
-        ablate = parse_ablation(ablate)
-        if not ablate.is_default:
-            raise ConfigurationError(
-                "ah has no software DSM: the ablatable mechanisms "
-                f"({ablate.label()}) exist only on the software "
-                "machines (treadmarks, as, hs)")
         self.params = params or AhParams()
-        self.sync = parse_sync(sync)
-        self.name = "ah"
-        if not self.sync.is_default:
-            self.name = f"ah-{self.sync.label()}"
+        super().__init__("ah", sync=sync, ablate=ablate, faults=faults)
 
     @property
     def clock_hz(self) -> float:

@@ -16,6 +16,7 @@ import time
 from enum import Enum
 from typing import Any, Dict, Optional
 
+from repro.ablate import AblationSpecLike, parse_ablation
 from repro.apps.base import AppContext, Application
 from repro.apps import ops
 from repro.check.checker import active_check_config
@@ -25,10 +26,12 @@ from repro.ledger import (active_ledger, current_run_id, run_record,
                           run_scope)
 from repro.mem.layout import AddressSpace, Geometry
 from repro.mem.store import SharedStore
+from repro.net.faults import FaultPlan
 from repro.sim.engine import Engine
 from repro.sim.task import OpHandler, ProcTask
 from repro.stats.counters import Counters
 from repro.stats.result import RunResult
+from repro.sync import SyncSpec, parse_sync
 from repro.trace import session as trace_session
 from repro.trace.opmap import op_category
 from repro.trace.tracer import Tracer
@@ -151,18 +154,66 @@ def fingerprint_value(value: Any) -> Any:
 
 
 class Machine:
-    """A platform that can run applications; subclasses configure it."""
+    """A platform that can run applications; subclasses configure it.
 
-    name: str = "machine"
+    Every machine takes the three variant axes, parsed once here:
+    ``sync`` (any :data:`~repro.sync.policy.SyncSpec`), ``ablate``
+    (any :data:`~repro.ablate.spec.AblationSpecLike`) and ``faults``
+    (a :class:`~repro.net.faults.FaultPlan`).  Its ``name`` is the
+    base name plus one suffix per non-default axis, always in the
+    order sync, ablate, faults (``as-mcs+tree-no-twins-loss0.02``).
+    Ablations and enabled fault plans act on the software DSM, so
+    machines without one reject them.
+    """
 
-    #: No-progress window (sim cycles) for the engine watchdog; the
-    #: software machines set it when fault injection is enabled so a
-    #: lossy run that stops making progress fails diagnosably instead
-    #: of hanging.  ``None`` leaves the watchdog off.
+    #: Whether the machine runs the software DSM (TreadMarks, AS, HS).
+    #: Only these take ablations and enabled fault plans, and only
+    #: these share a variant-blind 1-processor baseline.
+    software_dsm: bool = False
+
+    #: No-progress window (sim cycles) for the engine watchdog, armed
+    #: by an enabled fault plan so a lossy run that stops making
+    #: progress fails diagnosably instead of hanging.  ``None`` leaves
+    #: the watchdog off.
     watchdog_cycles: Optional[int] = None
 
-    def __init__(self) -> None:
+    def __init__(self, name: str, *, sync: SyncSpec = None,
+                 ablate: AblationSpecLike = None,
+                 faults: Optional[FaultPlan] = None) -> None:
         self.last_runtime: Optional[Runtime] = None
+        self.base_name = name
+        self.sync = parse_sync(sync)
+        self.ablate = parse_ablation(ablate)
+        self.faults = faults
+        variants = self._variants()
+        dsm_only = [f"{what} ({variants[axis].label()})"
+                    for axis, what in (("ablate", "mechanism ablation"),
+                                       ("faults", "fault injection"))
+                    if axis in variants]
+        if dsm_only and not self.software_dsm:
+            raise ConfigurationError(
+                f"{name} keeps coherence in hardware: "
+                f"{' and '.join(dsm_only)} applies only to the software "
+                "DSM machines (treadmarks, as, hs)")
+        self.name = "-".join([name] + [v.label() for v in variants.values()])
+        if "faults" in variants:
+            self.watchdog_cycles = faults.watchdog_cycles
+
+    def _variants(self) -> Dict[str, Any]:
+        """The non-default variant axes, in naming order.
+
+        The default sync policy and the all-on ablation are the
+        paper's protocol, and a disabled fault plan is inert; none of
+        them appears here, so they leave names and cache keys alone.
+        """
+        axes = {}
+        if not self.sync.is_default:
+            axes["sync"] = self.sync
+        if not self.ablate.is_default:
+            axes["ablate"] = self.ablate
+        if self.faults is not None and self.faults.enabled:
+            axes["faults"] = self.faults
+        return axes
 
     # -- transport --------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
@@ -179,47 +230,45 @@ class Machine:
                          ) -> Dict[str, Any]:
         """Stable data identifying this machine's simulated behaviour.
 
-        The default covers machines fully described by a ``params``
-        dataclass (SGI, AH, HS): class, display name, and every
-        parameter field.  Subclasses with extra behaviour-affecting
-        state must override and include it — anything left out will
-        alias distinct configurations in the result cache.
-
-        ``nprocs`` lets a machine declare processor-count-dependent
-        equivalences; see
-        :meth:`~repro.machines.software.PagedDsmMachine.fingerprint_data`
-        for the shared 1-processor baseline of the software machines.
+        :meth:`identity_data` plus one key per non-default variant
+        axis, plus the armed checker configuration.  ``nprocs`` lets
+        processor-count equivalences in: a software-DSM machine on one
+        processor is one node, which sends no messages, so no sync
+        policy, ablation or fault plan can affect the run.  There the
+        variant axes are dropped and the base name is used, and every
+        variant shares one cached 1-processor baseline.
         """
-        data: Dict[str, Any] = {
-            "class": type(self).__qualname__,
-            "name": self.name,
-        }
-        params = getattr(self, "params", None)
-        if params is not None:
-            data["params"] = fingerprint_value(params)
-        faults = getattr(self, "faults", None)
-        if faults is not None and faults.enabled:
-            # Only *enabled* plans enter the key: a disabled plan is
-            # behaviourally identical to no plan, and must share cache
-            # entries with clean runs (zero-overhead-when-disabled).
-            data["faults"] = fingerprint_value(faults)
-        sync = getattr(self, "sync", None)
-        if sync is not None and not sync.is_default:
-            # The default policy is the paper's protocol; like fault
-            # plans, only a non-default policy forks the cache key.
-            data["sync"] = fingerprint_value(sync)
-        ablate = getattr(self, "ablate", None)
-        if ablate is not None and not ablate.is_default:
-            # The all-on ablation spec is the paper's protocol and
-            # shares keys with machines built without the ablation
-            # layer; any off-toggle changes behaviour and forks it.
-            data["ablate"] = fingerprint_value(ablate)
+        uniprocessor = self.software_dsm and nprocs == 1
+        data = self.identity_data(uniprocessor)
+        if not uniprocessor:
+            data.update((axis, fingerprint_value(value))
+                        for axis, value in self._variants().items())
         check_cfg = active_check_config()
         if check_cfg is not None:
             # Checked runs are timing-identical to clean ones, but a
             # cached result would skip the checkers entirely; fork the
             # key so "run with checks" always actually checks.
             data["check"] = check_cfg.label()
+        return data
+
+    def identity_data(self, uniprocessor: bool) -> Dict[str, Any]:
+        """Fingerprint data apart from the variant axes and checker.
+
+        The default covers machines fully described by a ``params``
+        dataclass (SGI, AH, HS): class, name, and every parameter
+        field.  Subclasses with extra behaviour-affecting state must
+        override and include it — anything left out will alias
+        distinct configurations in the result cache.  ``uniprocessor``
+        selects the variant-blind 1-processor baseline of
+        :meth:`fingerprint_data`.
+        """
+        data: Dict[str, Any] = {
+            "class": type(self).__qualname__,
+            "name": self.base_name if uniprocessor else self.name,
+        }
+        params = getattr(self, "params", None)
+        if params is not None:
+            data["params"] = fingerprint_value(params)
         return data
 
     def fingerprint(self, nprocs: Optional[int] = None) -> str:

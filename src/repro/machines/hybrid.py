@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.ablate import AblationSpecLike, parse_ablation
+from repro.ablate import AblationSpecLike
 from repro.dsm.bound import BoundMode
 from repro.dsm.protocol import DsmConfig, TreadMarksDsm
 from repro.errors import ConfigurationError
@@ -34,7 +34,7 @@ from repro.recover import RecoveryManager
 from repro.sim.engine import Engine
 from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.sync import SyncSpec, parse_sync
+from repro.sync import SyncSpec
 from repro.trace.tracer import Category
 
 
@@ -178,48 +178,22 @@ class HybridRuntime(Runtime):
 class HybridMachine(Machine):
     """HS: bus-based SMP nodes + software DSM between nodes."""
 
+    software_dsm = True
+
     def __init__(self, params: Optional[HsParams] = None, *,
                  eager_locks=None,
                  faults: Optional[FaultPlan] = None,
                  sync: SyncSpec = None,
                  ablate: AblationSpecLike = None) -> None:
-        super().__init__()
         self.params = params or HsParams()
         self.eager_locks = eager_locks
-        self.faults = faults
-        self.sync = parse_sync(sync)
-        self.ablate = parse_ablation(ablate)
-        self.name = f"hs{self.params.procs_per_node}"
-        if not self.sync.is_default:
-            self.name = f"{self.name}-{self.sync.label()}"
-        if not self.ablate.is_default:
-            self.name = f"{self.name}-{self.ablate.label()}"
-        if faults is not None and faults.enabled:
-            self.name = f"{self.name}-{faults.label()}"
-            self.watchdog_cycles = faults.watchdog_cycles
+        super().__init__(f"hs{self.params.procs_per_node}",
+                         sync=sync, ablate=ablate, faults=faults)
 
     @property
     def clock_hz(self) -> float:
         """Simulated node clock (HsParams)."""
         return self.params.clock_hz
-
-    def fingerprint_data(self, nprocs=None):
-        """Machine identity, with the 1-proc baseline policy-blind."""
-        data = super().fingerprint_data(nprocs)
-        if nprocs == 1:
-            # One processor is one node: the DSM engages no remote
-            # machinery, so every sync policy and ablation spec is
-            # behaviourally identical and the 1-proc baseline is
-            # shared.  The name carries the suffixes, so normalize it.
-            data.pop("sync", None)
-            data.pop("ablate", None)
-            if not self.sync.is_default:
-                data["name"] = data["name"].replace(
-                    f"-{self.sync.label()}", "")
-            if not self.ablate.is_default:
-                data["name"] = data["name"].replace(
-                    f"-{self.ablate.label()}", "")
-        return data
 
     def geometry(self) -> Geometry:
         """DSM pages between nodes, bus lines within them."""

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.ablate import parse_ablation
 from repro.dsm.bound import BoundMode
-from repro.errors import ConfigurationError
 from repro.hw.snoop import SnoopingSystem
 from repro.hw.sync import HwBarrier, HwLockTable, make_hw_barrier, \
     make_hw_locks
@@ -25,7 +23,7 @@ from repro.net.crossbar import CombiningStage
 from repro.sim.engine import Engine
 from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.sync import SyncSpec, parse_sync
+from repro.sync import SyncSpec
 
 
 class SnoopRuntime(Runtime):
@@ -82,24 +80,8 @@ class SgiMachine(Machine):
     def __init__(self, params: Optional[SgiParams] = None, *,
                  faults=None, sync: SyncSpec = None,
                  ablate=None) -> None:
-        super().__init__()
-        if faults is not None and faults.enabled:
-            raise ConfigurationError(
-                "sgi is a hardware shared-memory machine with no "
-                "message-passing network path; fault injection "
-                f"({faults.label()}) applies only to the software DSM "
-                "machines (treadmarks, as, hs)")
-        ablate = parse_ablation(ablate)
-        if not ablate.is_default:
-            raise ConfigurationError(
-                "sgi keeps coherence in hardware: the ablatable DSM "
-                f"mechanisms ({ablate.label()}) exist only on the "
-                "software machines (treadmarks, as, hs)")
         self.params = params or SgiParams()
-        self.sync = parse_sync(sync)
-        self.name = "sgi"
-        if not self.sync.is_default:
-            self.name = f"sgi-{self.sync.label()}"
+        super().__init__("sgi", sync=sync, ablate=ablate, faults=faults)
 
     @property
     def clock_hz(self) -> float:

@@ -9,12 +9,12 @@ the local memory-hierarchy cost of each access.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
-from repro.ablate import AblationSpecLike, parse_ablation
+from repro.ablate import AblationSpecLike
 from repro.dsm.bound import BoundMode
 from repro.dsm.protocol import DsmConfig, TreadMarksDsm
-from repro.machines.base import Machine, Runtime
+from repro.machines.base import Machine, Runtime, fingerprint_value
 from repro.machines.params import LocalCacheParams
 from repro.mem.directcache import DirectMappedCache
 from repro.mem.layout import AddressSpace, Geometry
@@ -26,7 +26,7 @@ from repro.recover import RecoveryManager
 from repro.sim.engine import Engine
 from repro.sim.task import ProcTask
 from repro.stats.counters import Counters
-from repro.sync import SyncSpec, parse_sync
+from repro.sync import SyncSpec
 from repro.trace.tracer import Category
 
 
@@ -119,6 +119,8 @@ class DsmRuntime(Runtime):
 class PagedDsmMachine(Machine):
     """Configurable uniprocessor-node software DSM machine."""
 
+    software_dsm = True
+
     def __init__(self, name: str, *, clock_hz: float, page_bytes: int,
                  cache: LocalCacheParams,
                  bandwidth_bytes_per_sec: float,
@@ -131,14 +133,8 @@ class PagedDsmMachine(Machine):
                  faults: Optional[FaultPlan] = None,
                  sync: SyncSpec = None,
                  ablate: AblationSpecLike = None) -> None:
-        super().__init__()
-        self.sync = parse_sync(sync)
-        self.ablate = parse_ablation(ablate)
-        self.name = name if use_diffs else f"{name}-nodiff"
-        if not self.sync.is_default:
-            self.name = f"{self.name}-{self.sync.label()}"
-        if not self.ablate.is_default:
-            self.name = f"{self.name}-{self.ablate.label()}"
+        super().__init__(name if use_diffs else f"{name}-nodiff",
+                         sync=sync, ablate=ablate, faults=faults)
         self._clock_hz = clock_hz
         self.page_bytes = page_bytes
         self.cache = cache
@@ -149,16 +145,12 @@ class PagedDsmMachine(Machine):
         self.eager_locks = eager_locks
         self.use_diffs = use_diffs
         self._max_procs = max_procs
-        self.faults = faults
-        if faults is not None and faults.enabled:
-            self.name = f"{self.name}-{faults.label()}"
-            self.watchdog_cycles = faults.watchdog_cycles
 
     @property
     def clock_hz(self) -> float:
         return self._clock_hz
 
-    def fingerprint_data(self, nprocs=None):
+    def identity_data(self, uniprocessor: bool) -> Dict[str, Any]:
         """Cache identity; declares the shared 1-processor baseline.
 
         At one node the DSM engages no remote machinery — no messages
@@ -168,25 +160,18 @@ class PagedDsmMachine(Machine):
         latency, headers) can affect the run.  The paper leans on
         exactly this (Table 1's DEC and DEC+TreadMarks columns
         coincide), and ``tests/test_parallel.py`` pins it.  The
-        1-processor fingerprint therefore keeps only the local
-        machine: clock, page size, and the processor cache.  Every
+        1-processor identity therefore keeps only the local machine:
+        clock, page size, and the processor cache.  Every
         software-DSM variant with the same local machine shares one
         cached baseline.
         """
-        from repro.check.checker import active_check_config
-        from repro.machines.base import fingerprint_value
-        data = {
+        data: Dict[str, Any] = {
             "class": "PagedDsmMachine",
             "clock_hz": self._clock_hz,
             "page_bytes": self.page_bytes,
             "cache": fingerprint_value(self.cache),
         }
-        check_cfg = active_check_config()
-        if check_cfg is not None:
-            # Checked runs must never reuse (or seed) unchecked cache
-            # entries — the checkers would silently not run.
-            data["check"] = check_cfg.label()
-        if nprocs == 1:
+        if uniprocessor:
             data["uniprocessor_baseline"] = True
             return data
         data.update({
@@ -198,19 +183,6 @@ class PagedDsmMachine(Machine):
             "eager_locks": fingerprint_value(self.eager_locks),
             "use_diffs": self.use_diffs,
         })
-        if not self.sync.is_default:
-            # The default policy is the paper's protocol; non-default
-            # policies change message flows and must fork the key.
-            data["sync"] = fingerprint_value(self.sync)
-        if not self.ablate.is_default:
-            # The all-on spec is the paper's protocol and must share
-            # keys with machines built without the ablation layer;
-            # any off-toggle changes behaviour and forks the key.
-            data["ablate"] = fingerprint_value(self.ablate)
-        if self.faults is not None and self.faults.enabled:
-            # Disabled plans are behaviourally inert and share keys
-            # with clean runs; enabled plans never may.
-            data["faults"] = fingerprint_value(self.faults)
         return data
 
     def geometry(self) -> Geometry:

@@ -13,7 +13,7 @@ from repro.apps import SorApp
 from repro.errors import (ConfigurationError, DeadlockError,
                           NetworkPartitionError)
 from repro.machines import (AllHardwareMachine, DecTreadMarksMachine,
-                            SgiMachine)
+                            SgiMachine, make_machine)
 from repro.net.faults import (FaultInjector, FaultPlan, FaultRule,
                               StallWindow, parse_schedule)
 from repro.net.reliable import ReliableNetwork
@@ -298,6 +298,10 @@ def test_disabled_plan_shares_cache_fingerprint():
     # The 1-proc run is the uniprocessor baseline: no network, no
     # faults — an enabled plan must not fork its cache entry.
     assert enabled.fingerprint_data(1) == clean.fingerprint_data(1)
+    # The same holds on every software-DSM machine: one HS node sends
+    # no messages either.
+    lossy_hs = make_machine("hs", faults=FaultPlan(loss_rate=0.02))
+    assert lossy_hs.fingerprint(1) == make_machine("hs").fingerprint(1)
 
 
 def test_enabled_plan_suffixes_machine_name():
