@@ -146,14 +146,15 @@ class SnoopingSystem:
         # dirty remote copies are flushed (one extra transaction each).
         need_own = (np.concatenate([res.miss_lines, res.upgrade_lines])
                     if res.upgrade_lines.size else res.miss_lines)
-        n_flush = 0
+        n_inval = n_flush = 0
         if need_own.size:
             for q, other in enumerate(self.caches):
                 if q == proc:
                     continue
                 present, dirty = other.invalidate_lines(need_own)
-                self.counters.invalidations += present
+                n_inval += present
                 n_flush += dirty
+            self.counters.invalidations += n_inval
 
         end = self._miss_service(now + hit_cost,
                                  res.misses + n_flush,

@@ -15,13 +15,13 @@ granularity.  The DSM treats all processors of a node as one:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ablate import AblationSpecLike
 from repro.dsm.bound import BoundMode
 from repro.dsm.protocol import DsmConfig, TreadMarksDsm
 from repro.errors import ConfigurationError
-from repro.machines.base import Machine, Runtime
+from repro.machines.base import Machine, Runtime, fingerprint_value
 from repro.machines.params import HsParams
 from repro.hw.snoop import SnoopingSystem
 from repro.mem.directcache import DirectMappedCache
@@ -187,8 +187,20 @@ class HybridMachine(Machine):
                  ablate: AblationSpecLike = None) -> None:
         self.params = params or HsParams()
         self.eager_locks = eager_locks
-        super().__init__(f"hs{self.params.procs_per_node}",
+        suffix = "-eager" if eager_locks else ""
+        super().__init__(f"hs{self.params.procs_per_node}{suffix}",
                          sync=sync, ablate=ablate, faults=faults)
+
+    def identity_data(self, uniprocessor: bool) -> Dict[str, Any]:
+        """Default identity, plus the eager lock set when there is one.
+
+        Lazy machines leave the key out, keeping their pinned
+        fingerprints.
+        """
+        data = super().identity_data(uniprocessor)
+        if self.eager_locks:
+            data["eager_locks"] = fingerprint_value(self.eager_locks)
+        return data
 
     @property
     def clock_hz(self) -> float:

@@ -1,11 +1,15 @@
 """Directory-based coherence over the crossbar."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.directory import DirectorySystem, popcount
-from repro.mem.directcache import DirectMappedCache, MODIFIED
+from repro.mem import directcache
+from repro.mem.directcache import (DirectMappedCache, MODIFIED,
+                                   SHORT_ACCESS_LINES)
 from repro.net.crossbar import CrossbarNetwork
 from repro.sim.engine import Engine
 from repro.stats.counters import Counters
@@ -13,6 +17,9 @@ from repro.stats.counters import Counters
 LINE = 64
 LINES_PER_PAGE = 64
 TOTAL_LINES = 8 * LINES_PER_PAGE
+#: Access lengths on both sides of the short-path cut-off and above
+#: the default 16-line test cache.
+MAX_LEN = 3 * SHORT_ACCESS_LINES
 
 
 def make_system(nprocs=4, cache_lines=16):
@@ -130,23 +137,57 @@ def test_directory_invariants_after_random_script(rng):
     for _ in range(100):
         proc = int(rng.integers(4))
         first = int(rng.integers(0, 30))
-        length = int(rng.integers(1, 10))
+        length = int(rng.integers(1, MAX_LEN))
         if rng.random() < 0.5:
             now = system.read(proc, first, first + length, now)
         else:
             now = system.write(proc, first, first + length, now)
     system.check_invariants()
-    # A MODIFIED cache line must be directory-owned by that cache.
-    for proc, cache in enumerate(system.caches):
-        mask = cache.states == MODIFIED
-        lines = cache.tags[mask]
-        assert (system.owner[lines] == proc).all()
+
+
+def test_check_invariants_catches_unowned_modified_line():
+    system, _ = make_system()
+    system.write(0, 0, 1, now=0)
+    system.check_invariants()
+    system.owner[0] = -1
+    with pytest.raises(AssertionError, match="MODIFIED"):
+        system.check_invariants()
+
+
+def _run_script(script):
+    system, counters = make_system()
+    now = 0
+    ends = []
+    for proc, write, first, length in script:
+        op = system.write if write else system.read
+        now = op(proc, first, first + length, now)
+        ends.append(now)
+    # Types too: a numpy scalar leaking into a counter would change
+    # how results serialise.
+    return ([(end, type(end)) for end in ends],
+            {k: (v, type(v)) for k, v in counters.as_dict().items()},
+            system.owner.tolist(),
+            system.sharers.tolist(), system._page_home.tolist(),
+            [(c.tags.tolist(), c.states.tolist()) for c in system.caches])
+
+
+scripts = st.lists(st.tuples(st.integers(0, 3), st.booleans(),
+                             st.integers(0, 30), st.integers(1, MAX_LEN)),
+                   min_size=1, max_size=40)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.booleans(),
-                          st.integers(0, 30), st.integers(1, 8)),
-                min_size=1, max_size=40))
+@given(scripts)
+def test_short_path_matches_numpy_path(script):
+    """Per-line and numpy paths: same times, counters and state."""
+    short = _run_script(script)
+    with mock.patch.object(directcache, "SHORT_ACCESS_LINES", 0):
+        bulk = _run_script(script)
+    assert short == bulk
+
+
+@settings(max_examples=50, deadline=None)
+@given(scripts)
 def test_single_writer_property(script):
     """No line is ever MODIFIED in two caches at once."""
     system, _ = make_system()
@@ -158,7 +199,7 @@ def test_single_writer_property(script):
             now = system.read(proc, first, first + length, now)
     states = np.stack([c.states for c in system.caches])
     tags = np.stack([c.tags for c in system.caches])
-    for line in range(31 + 8):
+    for line in range(31 + MAX_LEN):
         holders = 0
         for p in range(4):
             s = line % system.caches[p].num_sets

@@ -44,6 +44,8 @@ def _variants(machine: str):
         yield "faults=loss0.02", {"faults": faults}
         yield "all", {"sync": "mcs+tree", "ablate": "no-twins",
                       "faults": faults}
+    if machine == "hs":
+        yield "eager", {"eager_locks": frozenset({1})}
 
 
 def compute_current():

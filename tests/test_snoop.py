@@ -1,24 +1,37 @@
 """Illinois snooping coherence."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.snoop import SnoopingSystem
+from repro.mem import directcache
 from repro.mem.directcache import (DirectMappedCache, EXCLUSIVE, INVALID,
-                                   MODIFIED, SHARED)
+                                   MODIFIED, SHARED, SHORT_ACCESS_LINES)
 from repro.net.bus import BusModel, BusTiming
 from repro.stats.counters import Counters
 
 LINE = 64
 
 
-@pytest.fixture
-def system():
+#: Access lengths on both sides of the short-path cut-off and above
+#: the 16-line test caches.
+MAX_LEN = 3 * SHORT_ACCESS_LINES
+
+
+def make_system():
     counters = Counters()
     caches = [DirectMappedCache(16 * LINE, LINE, name=f"c{i}")
               for i in range(4)]
     bus = BusModel("bus", BusTiming(), counters)
     return SnoopingSystem(caches, bus, counters, line_bytes=LINE,
                           hit_cycles=1.0, memory_extra_cycles=10), counters
+
+
+@pytest.fixture
+def system():
+    return make_system()
 
 
 def test_cold_read_fills_exclusive(system):
@@ -100,3 +113,48 @@ def test_single_writer_invariant(system):
             assert len(holders) <= 1
             if holders:
                 assert not others, f"M + valid copies for line {line}"
+
+
+scripts = st.lists(st.tuples(st.integers(0, 3), st.booleans(),
+                             st.integers(0, 30), st.integers(1, MAX_LEN)),
+                   min_size=1, max_size=40)
+
+
+def _run_script(script):
+    snoop, counters = make_system()
+    now = 0
+    ends = []
+    for proc, write, first, length in script:
+        op = snoop.write if write else snoop.read
+        now = op(proc, first, first + length, now)
+        ends.append(now)
+    # Types too: a numpy scalar leaking into a counter would change
+    # how results serialise.
+    return ([(end, type(end)) for end in ends],
+            {k: (v, type(v)) for k, v in counters.as_dict().items()},
+            [(c.tags.tolist(), c.states.tolist()) for c in snoop.caches])
+
+
+@settings(max_examples=50, deadline=None)
+@given(scripts)
+def test_random_script_keeps_swmr(script):
+    """A line held EXCLUSIVE or MODIFIED is resident in one cache only."""
+    _ends, _counters, caches = _run_script(script)
+    holders = {}
+    for tags, states in caches:
+        for tag, state in zip(tags, states):
+            if state != INVALID:
+                holders.setdefault(tag, []).append(state)
+    for line, states in holders.items():
+        if len(states) > 1:
+            assert all(s == SHARED for s in states), (line, states)
+
+
+@settings(max_examples=50, deadline=None)
+@given(scripts)
+def test_short_path_matches_numpy_path(script):
+    """Per-line and numpy paths: same times, counters and state."""
+    short = _run_script(script)
+    with mock.patch.object(directcache, "SHORT_ACCESS_LINES", 0):
+        bulk = _run_script(script)
+    assert short == bulk
