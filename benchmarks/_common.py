@@ -8,9 +8,10 @@ pytest-benchmark, prints the regenerated rows/series, and archives
 them under ``benchmarks/results/<exp_id>.txt`` so the output survives
 pytest's capture.
 
-The standalone wall-clock scripts (``bench_engine.py``,
-``bench_parallel_runner.py``, ``bench_trace_overhead.py``,
-``bench_check_overhead.py`` and the three sweep scripts) write their
+``bench_sweeps.py`` archives the design-space sweeps the same way
+(:func:`archive_report`).  It and the standalone wall-clock scripts
+(``bench_engine.py``, ``bench_parallel_runner.py``,
+``bench_trace_overhead.py``, ``bench_check_overhead.py``) write their
 ``BENCH_*.json`` reports through :func:`write_bench_json`, which
 stamps every file with :func:`bench_meta` — host, code revision,
 package/cache versions, generation time.  Wall-clock numbers are
@@ -61,6 +62,22 @@ def write_bench_json(path: str, payload: Dict[str, Any]) -> None:
     print(f"wrote {os.path.normpath(path)}")
 
 
+def archive_report(report: Report) -> None:
+    """Print ``report`` and archive it as ``results/<exp_id>.txt``.
+
+    The archive carries the experiment's expected-shape note, so the
+    regenerated rows can be read against the paper's claim.
+    """
+    note = REGISTRY[report.exp_id].shape_note
+    body = f"{report.text()}\n[expected shape: {note}]\n"
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    with open(os.path.join(RESULTS_DIR, f"{report.exp_id}.txt"),
+              "w") as fh:
+        fh.write(body)
+    print()
+    print(body)
+
+
 def bench_experiment(benchmark, exp_id: str,
                      scale: Scale = Scale.BENCH) -> Report:
     """Run one registry experiment under pytest-benchmark."""
@@ -71,13 +88,5 @@ def bench_experiment(benchmark, exp_id: str,
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     report = holder["report"]
-    text = report.text()
-    note = REGISTRY[exp_id].shape_note
-    body = f"{text}\n[expected shape: {note}]\n"
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{exp_id}.txt")
-    with open(path, "w") as fh:
-        fh.write(body)
-    print()
-    print(body)
+    archive_report(report)
     return report

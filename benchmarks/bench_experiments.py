@@ -3,9 +3,8 @@
 One pytest-benchmark test per experiment id: each runs the experiment
 through the registry at bench scale, times it, prints the regenerated
 rows/series and archives them under ``benchmarks/results/<id>.txt``.
-The four design-space sweeps have their own scripts with CI bars
-(``bench_sync_crossover.py``, ``bench_recovery.py``,
-``bench_ablation.py``); ``fault-sweep`` is benched here.
+Three design-space sweeps are benched against their CI bars by
+``bench_sweeps.py``; ``fault-sweep`` is benched here.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_experiments.py -k fig3
 """

@@ -10,7 +10,7 @@ calls out).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.ablate import (MECHANISMS, AblationSpec, importance_score,
@@ -18,7 +18,7 @@ from repro.ablate import (MECHANISMS, AblationSpec, importance_score,
 from repro.errors import ConfigurationError
 from repro.harness import fmt
 from repro.harness.parallel import RunPlan, execute_plan, run_grid
-from repro.harness.runner import compare_machines, speedup_series
+from repro.harness.runner import compare_machines, series_grid
 from repro.harness.workloads import (EXPERIMENTAL_PROCS, SIMULATED_PROCS,
                                      Scale, make_app)
 from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
@@ -26,7 +26,6 @@ from repro.machines import (AllHardwareMachine, AllSoftwareMachine,
                             make_machine)
 from repro.net.faults import CrashEvent, FaultPlan, FaultRule
 from repro.net.overhead import OVERHEAD_SWEEP
-from repro.stats.result import SpeedupSeries
 from repro.sync import BARRIER_ALGORITHMS, LOCK_ALGORITHMS, SyncPolicy
 
 
@@ -258,14 +257,8 @@ for _fid, _wl, _ref, _note in _SIM_FIGURES:
 # ======================================================================
 # Figures 12-13: message and data totals, HS vs AS
 # ======================================================================
-_TRAFFIC_CACHE: Dict[Scale, tuple] = {}
-
-
 def _traffic_runs(scale: Scale):
-    """AS and HS runs at the largest machine (shared by fig12/fig13)."""
-    cached = _TRAFFIC_CACHE.get(scale)
-    if cached is not None:
-        return cached
+    """AS and HS runs at the largest machine (the fig12/fig13 grid)."""
     procs = max(SIMULATED_PROCS[scale])
     entries = []
     for workload in SIM_WORKLOADS:
@@ -273,11 +266,9 @@ def _traffic_runs(scale: Scale):
         entries.append((f"as/{workload}", AllSoftwareMachine(), app, procs))
         entries.append((f"hs/{workload}", HybridMachine(), app, procs))
     runs = run_grid(entries)
-    out = {workload: {"as": runs[f"as/{workload}"],
-                      "hs": runs[f"hs/{workload}"]}
-           for workload in SIM_WORKLOADS}
-    _TRAFFIC_CACHE[scale] = (procs, out)
-    return procs, out
+    return procs, {workload: {"as": runs[f"as/{workload}"],
+                              "hs": runs[f"hs/{workload}"]}
+                   for workload in SIM_WORKLOADS}
 
 
 @_register("fig12", "Total messages, HS vs AS", "Figure 12",
@@ -351,30 +342,21 @@ def _overhead_sweep(exp_id: str, workload: str, hybrid: bool,
                     scale: Scale) -> Report:
     procs = SIMULATED_PROCS[scale]
     app = make_app(workload, scale)
-    # One plan for the full (preset x processor-count) grid; the
-    # sweep points fan out together and the shared 1-proc baseline
-    # (AS presets only differ in messaging overheads) runs once.
-    plan = RunPlan()
-    layout = []
+    # The shared 1-proc baseline (AS presets only differ in messaging
+    # overheads) runs once.
+    cells = {}
     for preset in OVERHEAD_SWEEP:
         if hybrid:
             machine = HybridMachine(
                 HybridMachine().params.with_overhead(preset))
         else:
             machine = AllSoftwareMachine(overhead_preset=preset)
-        indices = plan.add_series(machine, app, (1,) + tuple(procs))
         ov = preset.build()
         label = (f"fixed={ov.fixed_send_cycles}"
                  f",word={ov.per_word_cycles}")
-        layout.append((label, machine, indices))
-    results = execute_plan(plan)
-    speedups: Dict[str, Dict[int, float]] = {}
-    for label, machine, indices in layout:
-        base = results[indices[0]]
-        series = SpeedupSeries(machine.name, app.name, base.seconds)
-        for index in indices:
-            series.add(results[index])
-        speedups[label] = series.speedups()
+        cells[label] = (machine, app, (1,) + tuple(procs))
+    speedups = {label: series.speedups()
+                for label, series in series_grid(cells).items()}
     arch = "HS" if hybrid else "AS"
     report = Report(exp_id, f"{workload} on {arch}, software-overhead "
                             f"sweep")
@@ -417,11 +399,13 @@ def run_x1(scale: Scale) -> Report:
         DecTreadMarksMachine(eager_locks=frozenset({1})),  # bound lock
         SgiMachine(),
     ]
+    app = make_app(app_name, scale)
+    grid = series_grid({m.name: (m, app, EXPERIMENTAL_PROCS)
+                        for m in machines})
     rows = []
     data = {}
     for machine in machines:
-        app = make_app(app_name, scale)
-        series = speedup_series(machine, app, EXPERIMENTAL_PROCS)
+        series = grid[machine.name]
         top = series.speedups()[max(EXPERIMENTAL_PROCS)]
         result = series.at(max(EXPERIMENTAL_PROCS))
         expansions = result.app_output.get("parallel_expansions", 0)
@@ -439,18 +423,19 @@ def run_x1(scale: Scale) -> Report:
            "Kernel-level messaging sharply improves M-Water; barrier "
            "apps (ILINK, SOR) barely change.")
 def run_x2(scale: Scale) -> Report:
+    workloads = ("sor_small", "ilink_clp", "tsp19", "mwater")
+    variants = (("user", DecTreadMarksMachine()),
+                ("kernel", DecTreadMarksMachine(kernel_level=True)),
+                ("sgi", SgiMachine()))
+    grid = series_grid({
+        (workload, label): (machine, make_app(workload, scale),
+                            EXPERIMENTAL_PROCS)
+        for workload in workloads for label, machine in variants})
     rows = []
     data = {}
-    for workload in ("sor_small", "ilink_clp", "tsp19", "mwater"):
-        user = speedup_series(DecTreadMarksMachine(),
-                              make_app(workload, scale),
-                              EXPERIMENTAL_PROCS)
-        kernel = speedup_series(DecTreadMarksMachine(kernel_level=True),
-                                make_app(workload, scale),
-                                EXPERIMENTAL_PROCS)
-        sgi = speedup_series(SgiMachine(), make_app(workload, scale),
-                             EXPERIMENTAL_PROCS)
-        p = max(EXPERIMENTAL_PROCS)
+    p = max(EXPERIMENTAL_PROCS)
+    for workload in workloads:
+        user, kernel, sgi = (grid[workload, label] for label, _ in variants)
         rows.append([workload, user.speedups()[p], kernel.speedups()[p],
                      sgi.speedups()[p]])
         data[workload] = {"user": user.speedups()[p],
@@ -468,15 +453,17 @@ def run_x2(scale: Scale) -> Report:
            "Equalizing data movement: TreadMarks moves far more data "
            "than with the zero interior, but still beats the SGI.")
 def run_x3(scale: Scale) -> Report:
+    workloads = ("sor_large", "sor_alldirty")
+    apps = {workload: make_app(workload, scale) for workload in workloads}
+    grid = series_grid({
+        (workload, machine.name): (machine, app, EXPERIMENTAL_PROCS)
+        for workload, app in apps.items()
+        for machine in (DecTreadMarksMachine(), SgiMachine())})
     rows = []
     data = {}
-    for workload in ("sor_large", "sor_alldirty"):
-        app = make_app(workload, scale)
-        tm = speedup_series(DecTreadMarksMachine(), app,
-                            EXPERIMENTAL_PROCS)
-        sgi = speedup_series(SgiMachine(), make_app(workload, scale),
-                             EXPERIMENTAL_PROCS)
-        p = max(EXPERIMENTAL_PROCS)
+    p = max(EXPERIMENTAL_PROCS)
+    for workload, app in apps.items():
+        tm, sgi = grid[workload, "treadmarks"], grid[workload, "sgi"]
         tm_top = tm.at(p)
         rows.append([app.name, tm.speedups()[p], sgi.speedups()[p],
                      tm_top.counters.total_bytes // 1024])
@@ -590,20 +577,21 @@ def run_x4(scale: Scale) -> Report:
            "Whole-page transfers multiply data movement for "
            "fine-grain-write applications.")
 def run_a1(scale: Scale) -> Report:
+    grid = series_grid({
+        (workload, use_diffs): (DecTreadMarksMachine(use_diffs=use_diffs),
+                                make_app(workload, scale), (1, 8))
+        for workload in ("sor_small", "mwater")
+        for use_diffs in (True, False)})
     rows = []
     data = {}
-    for workload in ("sor_small", "mwater"):
-        for use_diffs in (True, False):
-            machine = DecTreadMarksMachine(use_diffs=use_diffs)
-            app = make_app(workload, scale)
-            series = speedup_series(machine, app, (1, 8))
-            p8 = series.at(8)
-            rows.append([app.name, machine.name, series.speedups()[8],
-                         p8.counters.total_bytes // 1024])
-            data[(workload, use_diffs)] = {
-                "speedup": series.speedups()[8],
-                "bytes": p8.counters.total_bytes,
-            }
+    for key, series in grid.items():
+        p8 = series.at(8)
+        rows.append([series.app, series.machine, series.speedups()[8],
+                     p8.counters.total_bytes // 1024])
+        data[key] = {
+            "speedup": series.speedups()[8],
+            "bytes": p8.counters.total_bytes,
+        }
     report = Report("a1", "Diff-based vs whole-page data movement "
                           "(8 processors)")
     report.lines = fmt.format_table(
@@ -617,13 +605,16 @@ def run_a1(scale: Scale) -> Report:
            "Eager release helps the unsynchronized-read pattern (TSP) "
            "and hurts high-lock-rate applications (more messages).")
 def run_a2(scale: Scale) -> Report:
+    workloads = ("tsp19", "mwater", "sor_small")
+    variants = (("lazy", DecTreadMarksMachine()),
+                ("eager", DecTreadMarksMachine(eager_locks="all")))
+    grid = series_grid({
+        (workload, label): (machine, make_app(workload, scale), (1, 8))
+        for workload in workloads for label, machine in variants})
     rows = []
     data = {}
-    for workload in ("tsp19", "mwater", "sor_small"):
-        lazy = speedup_series(DecTreadMarksMachine(),
-                              make_app(workload, scale), (1, 8))
-        eager = speedup_series(DecTreadMarksMachine(eager_locks="all"),
-                               make_app(workload, scale), (1, 8))
+    for workload in workloads:
+        lazy, eager = grid[workload, "lazy"], grid[workload, "eager"]
         rows.append([workload, lazy.speedups()[8], eager.speedups()[8],
                      lazy.at(8).counters.total_messages,
                      eager.at(8).counters.total_messages])
@@ -645,22 +636,23 @@ def run_a2(scale: Scale) -> Report:
            "bus and the per-node DSM serialize.")
 def run_a3(scale: Scale) -> Report:
     procs = max(SIMULATED_PROCS[scale])
+    grid = series_grid({
+        (workload, node_size): (
+            HybridMachine(replace(HybridMachine().params,
+                                  procs_per_node=node_size)),
+            make_app(workload, scale), (1, procs))
+        for node_size in (1, 2, 4, 8, 16)
+        for workload in ("sor_small", "mwater")})
     rows = []
     data = {}
-    for node_size in (1, 2, 4, 8, 16):
-        from dataclasses import replace
-        params = replace(HybridMachine().params, procs_per_node=node_size)
-        machine = HybridMachine(params)
-        for workload in ("sor_small", "mwater"):
-            app = make_app(workload, scale)
-            series = speedup_series(machine, app, (1, procs))
-            r = series.at(procs)
-            rows.append([workload, node_size, series.speedups()[procs],
-                         r.counters.total_messages])
-            data[(workload, node_size)] = {
-                "speedup": series.speedups()[procs],
-                "messages": r.counters.total_messages,
-            }
+    for (workload, node_size), series in grid.items():
+        r = series.at(procs)
+        rows.append([workload, node_size, series.speedups()[procs],
+                     r.counters.total_messages])
+        data[(workload, node_size)] = {
+            "speedup": series.speedups()[procs],
+            "messages": r.counters.total_messages,
+        }
     report = Report("a3", f"HS node-size sweep at {procs} processors")
     report.lines = fmt.format_table(
         ["program", "procs/node", "speedup", "messages"], rows)
@@ -702,39 +694,35 @@ class FaultSweepOptions:
 def run_fault_sweep(scale: Scale) -> Report:
     opts = options_for("fault-sweep")
     procs = max(EXPERIMENTAL_PROCS)
-    # One plan for the (workload x loss-rate) grid.  The rate-0 plan is
-    # *disabled*, so its machine fingerprints — and cache entries —
-    # coincide with the lossless TreadMarks runs of t1/t2/fig3-8: the
-    # zero-overhead-when-disabled invariant, asserted by CI.
-    plan = RunPlan()
-    layout = []
-    for workload in FAULT_SWEEP_WORKLOADS:
-        app = make_app(workload, scale)
-        base_index = plan.add(make_machine("treadmarks"), app, 1)
-        entries = []
-        for rate in opts.loss_rates:
-            machine = make_machine("treadmarks", faults=opts.plan(rate))
-            entries.append((rate, plan.add(machine, app, procs)))
-        layout.append((workload, base_index, entries))
-    results = execute_plan(plan)
+    # The rate-0 plan is *disabled*, so its machine fingerprints — and
+    # cache entries — coincide with the lossless TreadMarks runs of
+    # t1/t2/fig3-8: the zero-overhead-when-disabled invariant, asserted
+    # by CI.  Fault plans are dropped at one processor, so every rate
+    # of a workload shares one baseline run.
+    apps = {workload: make_app(workload, scale)
+            for workload in FAULT_SWEEP_WORKLOADS}
+    grid = series_grid({
+        (workload, rate): (
+            make_machine("treadmarks", faults=opts.plan(rate)),
+            apps[workload], (procs,))
+        for workload in FAULT_SWEEP_WORKLOADS
+        for rate in opts.loss_rates})
 
     rows = []
     data: Dict[str, Dict] = {}
-    for workload, base_index, entries in layout:
-        base = results[base_index]
-        for rate, index in entries:
-            r = results[index]
-            speedup = base.seconds / r.seconds
-            c = r.counters
-            rows.append([workload, rate, speedup, c.retransmissions,
-                         c.duplicates_dropped, c.timeout_cycles])
-            data.setdefault(workload, {})[f"{rate:g}"] = {
-                "speedup": speedup,
-                "retransmissions": c.retransmissions,
-                "duplicates_dropped": c.duplicates_dropped,
-                "messages_dropped": c.messages_dropped,
-                "timeout_cycles": c.timeout_cycles,
-            }
+    for (workload, rate), series in grid.items():
+        r = series.at(procs)
+        speedup = series.speedup(r)
+        c = r.counters
+        rows.append([workload, rate, speedup, c.retransmissions,
+                     c.duplicates_dropped, c.timeout_cycles])
+        data.setdefault(workload, {})[f"{rate:g}"] = {
+            "speedup": speedup,
+            "retransmissions": c.retransmissions,
+            "duplicates_dropped": c.duplicates_dropped,
+            "messages_dropped": c.messages_dropped,
+            "timeout_cycles": c.timeout_cycles,
+        }
     report = Report("fault-sweep",
                     f"TreadMarks speedup at {procs} processors vs. "
                     f"message loss rate (fault seed {opts.seed})")
@@ -804,16 +792,10 @@ def run_failure_sweep(scale: Scale) -> Report:
     # Phase 1: the clean cells.  These coincide (fingerprints and all)
     # with fig9/fig10 points, so a warm cache serves them; their cycle
     # counts deterministically place the crashes of phase 2.
-    clean_plan = RunPlan()
-    clean_layout = []
-    for mname in opts.machines:
-        for workload in opts.workloads:
-            app = make_app(workload, scale)
-            machine = make_machine(mname)
-            base_index = clean_plan.add(machine, app, 1)
-            clean_index = clean_plan.add(machine, app, procs)
-            clean_layout.append((mname, workload, base_index, clean_index))
-    clean_results = execute_plan(clean_plan)
+    clean_grid = series_grid({
+        (mname, workload): (make_machine(mname), make_app(workload, scale),
+                            (procs,))
+        for mname in opts.machines for workload in opts.workloads})
 
     # Phase 2: the crashed cells.  Unless --crash pinned an explicit
     # schedule, the last DSM node crashes at each configured fraction
@@ -821,8 +803,8 @@ def run_failure_sweep(scale: Scale) -> Report:
     # sweep stays deterministic and cacheable.
     plan = RunPlan()
     layout = []
-    for mname, workload, base_index, clean_index in clean_layout:
-        clean = clean_results[clean_index]
+    for (mname, workload), series in clean_grid.items():
+        clean = series.at(procs)
         app = make_app(workload, scale)
         num_nodes = _sweep_num_nodes(mname, make_machine(mname), procs)
         if num_nodes < 2:
@@ -839,21 +821,17 @@ def run_failure_sweep(scale: Scale) -> Report:
                                detect_cycles=opts.detect_cycles)
             machine = make_machine(mname, faults=faults)
             index = plan.add(machine, app, procs)
-            layout.append((mname, workload, tag, crashes, base_index,
-                           clean_index, index))
+            layout.append((mname, workload, tag, crashes, series, index))
     results = execute_plan(plan)
 
     rows = []
     data: Dict[str, Dict] = {}
-    for (mname, workload, tag, crashes, base_index, clean_index,
-         index) in layout:
-        base = clean_results[base_index]
-        clean = clean_results[clean_index]
+    for mname, workload, tag, crashes, series, index in layout:
         r = results[index]
         c = r.counters
         degraded = r.degraded or {}
-        speedup = base.seconds / r.seconds
-        clean_speedup = base.seconds / clean.seconds
+        speedup = series.speedup(r)
+        clean_speedup = series.speedups()[procs]
         rows.append([mname, workload, tag,
                      len(degraded.get("failed_nodes", ())),
                      speedup, clean_speedup, c.detection_cycles,
@@ -928,24 +906,17 @@ def run_sync_sweep(scale: Scale) -> Report:
     # 1-processor baselines dedup across policies: a software machine's
     # uniprocessor fingerprint hides everything non-local, including
     # the sync policy, so each (machine, workload) baseline runs once.
-    plan = RunPlan()
-    layout = []
-    for mname in opts.machines:
-        for workload in opts.workloads:
-            app = make_app(workload, scale)
-            for policy in policies:
-                machine = make_machine(mname, sync=policy)
-                indices = plan.add_series(machine, app, (1,) + procs)
-                layout.append((mname, workload, policy, machine, indices))
-    results = execute_plan(plan)
+    apps = {workload: make_app(workload, scale)
+            for workload in opts.workloads}
+    grid = series_grid({
+        (mname, workload, policy): (make_machine(mname, sync=policy),
+                                    apps[workload], (1,) + procs)
+        for mname in opts.machines for workload in opts.workloads
+        for policy in policies})
 
     rows = []
     data: Dict[str, Dict] = {}
-    for mname, workload, policy, machine, indices in layout:
-        base = results[indices[0]]
-        series = SpeedupSeries(machine.name, workload, base.seconds)
-        for index in indices:
-            series.add(results[index])
+    for (mname, workload, policy), series in grid.items():
         r_top = series.at(top)
         c = r_top.counters
         rows.append([mname, workload, policy.label(),

@@ -96,7 +96,7 @@ from repro.errors import WorkerCrashError
 from repro.harness.cache import ResultCache, run_key
 from repro.ledger import Ledger, active_ledger, run_record, run_scope
 from repro.machines.base import Machine
-from repro.stats.result import RunResult
+from repro.stats.result import RunResult, SpeedupSeries
 from repro.trace import session as trace_session
 
 #: Environment flag that tells pool workers to print start lines;
@@ -142,13 +142,50 @@ class RunPlan:
 
     def add_series(self, machine: Machine, app: Application,
                    procs: Sequence[int], *, seed: int = 42,
-                   params: Optional[Dict[str, Any]] = None) -> List[int]:
-        """Append one run per processor count; returns their indices."""
-        return [self.add(machine, app, p, seed=seed, params=params)
-                for p in procs]
+                   params: Optional[Dict[str, Any]] = None
+                   ) -> "SeriesSlots":
+        """Declare one speedup series: a 1-processor baseline plus one
+        run per count in ``procs``, appended in that order.
+
+        When ``procs`` includes 1, that run is the baseline; otherwise
+        the baseline is appended first.  Returns the series' slots,
+        which :meth:`SeriesSlots.build` turns into a
+        :class:`~repro.stats.result.SpeedupSeries` once the plan has
+        executed.
+        """
+        procs = tuple(procs)
+        base = (None if 1 in procs else
+                self.add(machine, app, 1, seed=seed, params=params))
+        points = tuple(self.add(machine, app, p, seed=seed, params=params)
+                       for p in procs)
+        if base is None:
+            base = points[procs.index(1)]
+        return SeriesSlots(machine.name, app.name, base, points)
 
     def __len__(self) -> int:
         return len(self.specs)
+
+
+@dataclass(frozen=True)
+class SeriesSlots:
+    """Where one declared speedup series sits in its plan's results."""
+
+    machine: str
+    app: str
+    base: int
+    points: Tuple[int, ...]
+
+    def build(self, results: Sequence[RunResult]) -> SpeedupSeries:
+        """The series over an executed plan's results.
+
+        The paper's baseline rule (§2.3): every speedup is relative to
+        the single-processor run on the same machine family.
+        """
+        series = SpeedupSeries(self.machine, self.app,
+                               results[self.base].seconds)
+        for index in self.points:
+            series.add(results[index])
+        return series
 
 
 # ======================================================================

@@ -1,7 +1,7 @@
 """Shared run helpers: speedup curves and statistics collection.
 
 Built on :mod:`repro.harness.parallel`: each helper *declares* its run
-grid as a :class:`~repro.harness.parallel.RunPlan` and lets
+grid as one :class:`~repro.harness.parallel.RunPlan` and lets
 ``execute_plan`` fan the independent simulations out over worker
 processes, deduplicate identical points, and serve repeats from the
 result cache — all without changing a single number (see that
@@ -13,24 +13,28 @@ appends a provenance record and every returned
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import (Dict, Hashable, Iterable, Mapping, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro.apps.base import Application
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import RunPlan, execute_plan
 from repro.machines.base import Machine
-from repro.stats.result import RunResult, SpeedupSeries
+from repro.stats.result import SpeedupSeries
 
-MachineFactory = Callable[[], Machine]
+K = TypeVar("K", bound=Hashable)
 
 
-def speedup_series(machine: Machine, app: Application,
-                   procs: Iterable[int], *,
-                   base_result: Optional[RunResult] = None,
-                   jobs: Optional[int] = None,
-                   cache: Optional[ResultCache] = None
-                   ) -> SpeedupSeries:
-    """Run ``app`` at each processor count; speedups vs the 1-proc run.
+def series_grid(cells: Mapping[K, Tuple[Machine, Application,
+                                        Sequence[int]]], *,
+                jobs: Optional[int] = None,
+                cache: Optional[ResultCache] = None
+                ) -> Dict[K, SpeedupSeries]:
+    """One speedup series per keyed ``(machine, app, procs)`` cell.
+
+    The whole grid is one plan (:meth:`RunPlan.add_series` per cell),
+    so every point fans out together and cells sharing 1-processor
+    semantics share one baseline run.
 
     Baseline methodology (the paper's, §2.3): every speedup is
     relative to the *single-processor execution on the same machine
@@ -42,36 +46,23 @@ def speedup_series(machine: Machine, app: Application,
     same local machine (user vs kernel level, lazy vs eager release,
     diffs vs whole pages, any overhead preset) shares one 1-processor
     baseline: the machines fingerprint identically at ``nprocs == 1``,
-    so the run plan executes the baseline once and the result cache
-    reuses it across machines and invocations rather than re-running
-    it per variant.
-
-    The 1-processor run is never executed twice: if ``1`` appears in
-    ``procs`` it reuses the baseline (and if ``base_result`` is given,
-    that exact object is placed in the series and no baseline run is
-    scheduled at all).
+    so the plan executes the baseline once and the result cache
+    reuses it across machines and invocations.
     """
-    procs = list(procs)
     plan = RunPlan()
-    base_index: Optional[int] = None
-    if base_result is None:
-        base_index = plan.add(machine, app, 1)
-    point_index: Dict[int, int] = {}
-    for p in procs:
-        if p == 1 and base_result is not None:
-            continue
-        if p not in point_index:
-            point_index[p] = plan.add(machine, app, p)
+    slots = {key: plan.add_series(*cell) for key, cell in cells.items()}
     results = execute_plan(plan, jobs=jobs, cache=cache)
+    return {key: s.build(results) for key, s in slots.items()}
 
-    base = base_result if base_result is not None else results[base_index]
-    series = SpeedupSeries(machine.name, app.name, base.seconds)
-    for p in procs:
-        if p == 1 and base_result is not None:
-            series.add(base)
-        else:
-            series.add(results[point_index[p]])
-    return series
+
+def speedup_series(machine: Machine, app: Application,
+                   procs: Iterable[int], *,
+                   jobs: Optional[int] = None,
+                   cache: Optional[ResultCache] = None
+                   ) -> SpeedupSeries:
+    """Run ``app`` at each processor count; speedups vs the 1-proc run."""
+    return series_grid({0: (machine, app, tuple(procs))},
+                       jobs=jobs, cache=cache)[0]
 
 
 def compare_machines(machines: Iterable[Machine], app: Application,
@@ -79,27 +70,7 @@ def compare_machines(machines: Iterable[Machine], app: Application,
                      jobs: Optional[int] = None,
                      cache: Optional[ResultCache] = None
                      ) -> Dict[str, SpeedupSeries]:
-    """One speedup series per machine, same workload.
-
-    Declares the whole (machine x processor-count) grid as one plan,
-    so runs fan out across machines as well as processor counts, and
-    machines sharing 1-processor semantics share one baseline run.
-    """
-    machines = list(machines)
-    procs = list(procs)
-    plan = RunPlan()
-    layout = []
-    for machine in machines:
-        base_index = plan.add(machine, app, 1)
-        point_indices = [plan.add(machine, app, p) for p in procs]
-        layout.append((machine, base_index, point_indices))
-    results = execute_plan(plan, jobs=jobs, cache=cache)
-
-    out: Dict[str, SpeedupSeries] = {}
-    for machine, base_index, point_indices in layout:
-        base = results[base_index]
-        series = SpeedupSeries(machine.name, app.name, base.seconds)
-        for index in point_indices:
-            series.add(results[index])
-        out[machine.name] = series
-    return out
+    """One speedup series per machine (keyed by name), same workload."""
+    procs = tuple(procs)
+    return series_grid({m.name: (m, app, procs) for m in machines},
+                       jobs=jobs, cache=cache)

@@ -13,7 +13,7 @@ from repro.harness.parallel import (RunPlan, current_context,
                                     effective_workers, execute_plan,
                                     resolve_jobs, run_context, run_grid,
                                     shutdown_pool)
-from repro.harness.runner import compare_machines, speedup_series
+from repro.harness.runner import compare_machines
 from repro.harness.workloads import Scale, make_app
 from repro.machines import DecTreadMarksMachine, SgiMachine
 from repro.net.faults import FaultPlan
@@ -118,15 +118,6 @@ def test_shared_baseline_one_store_for_two_variants(app, tmp_path):
     assert results[0].machine == "treadmarks"
     assert results[2].machine == "treadmarks-kernel"
     assert results[0].cycles == results[2].cycles
-
-
-def test_speedup_series_reuses_base_result(app):
-    machine = DecTreadMarksMachine()
-    base = machine.run(app, 1)
-    series = speedup_series(machine, app, (1, 2), base_result=base)
-    assert series.at(1) is base
-    plain = speedup_series(machine, app, (1, 2))
-    assert series.speedups() == plain.speedups()
 
 
 def test_run_grid_tags(app):

@@ -13,15 +13,6 @@ def test_speedup_series_baseline_is_one(pingpong):
     assert set(sp) == {1, 2, 4}
 
 
-def test_speedup_series_reuses_base_result(pingpong):
-    machine = DecTreadMarksMachine()
-    base = machine.run(pingpong, 1)
-    series = speedup_series(machine, pingpong, (1, 2),
-                            base_result=base)
-    assert series.base_seconds == base.seconds
-    assert series.at(1) is base
-
-
 def test_compare_machines_keys(pingpong):
     out = compare_machines([DecTreadMarksMachine(), SgiMachine()],
                            pingpong, (1, 2))
