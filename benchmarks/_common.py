@@ -10,8 +10,8 @@ pytest's capture.
 
 ``bench_sweeps.py`` archives the design-space sweeps the same way
 (:func:`archive_report`).  It and the standalone wall-clock scripts
-(``bench_engine.py``, ``bench_parallel_runner.py``,
-``bench_trace_overhead.py``, ``bench_check_overhead.py``) write their
+(``bench_parallel_runner.py``, ``bench_trace_overhead.py``,
+``bench_check_overhead.py``) write their
 ``BENCH_*.json`` reports through :func:`write_bench_json`, which
 stamps every file with :func:`bench_meta` — host, code revision,
 package/cache versions, generation time.  Wall-clock numbers are

@@ -11,13 +11,16 @@ processors) in four configurations:
 Every configuration must produce identical summaries — the runner's
 determinism contract — and the script asserts it before reporting.
 
-Honest-numbers note: pool speedup scales with *available cores*, so
-``cpu_count`` is recorded in the report.  On a single-core container
-the pool adds process-spawn overhead instead of helping; the warm
-cache is the configuration whose speedup is hardware-independent
-(near-zero simulated work — the acceptance bar).
+Pool speedup scales with *available cores*, so ``cpu_count`` is
+recorded in the report.  One bar is enforced: the pool must not lose
+to serial by more than shared-runner noise (``MIN_POOL_SPEEDUP``).
+``effective_workers`` clamps the pool to the cores present, so with a
+single effective worker the "pool" runs in-process and the bar would
+hold by construction; it then reports ``skipped`` instead.  The warm
+cache is the configuration whose speedup is hardware-independent.
 
-Writes ``BENCH_parallel_runner.json`` at the repo root.  Run with::
+Writes ``BENCH_parallel_runner.json`` at the repo root and exits 1 if
+the pool bar is missed.  Run with::
 
     PYTHONPATH=src python benchmarks/bench_parallel_runner.py
 """
@@ -28,10 +31,11 @@ import os
 import shutil
 import tempfile
 import time
+from typing import Tuple
 
 from _common import write_bench_json
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import RunPlan, execute_plan
+from repro.harness.parallel import RunPlan, effective_workers, execute_plan
 from repro.harness.workloads import Scale, make_app
 from repro.machines.dec_treadmarks import DecTreadMarksMachine
 from repro.machines.sgi import SgiMachine
@@ -40,6 +44,10 @@ POOL_JOBS = 4
 PROCS = (1, 2, 4, 8)
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                         "BENCH_parallel_runner.json")
+
+#: The pool may lose to serial by at most this ratio (room for
+#: shared-runner noise); on a multi-core box it wins outright.
+MIN_POOL_SPEEDUP = 0.85
 
 
 def build_plan() -> RunPlan:
@@ -54,6 +62,19 @@ def timed(jobs: int, cache) -> tuple:
     start = time.perf_counter()
     results = execute_plan(build_plan(), jobs=jobs, cache=cache)
     return time.perf_counter() - start, [r.summary() for r in results]
+
+
+def pool_bar(pool_vs_serial: float, workers: int) -> Tuple[str, str]:
+    """Verdict of the pool bar (held/missed/skipped) and its line."""
+    if workers == 1:
+        return "skipped", ("pool bar skipped: 1 effective worker, the "
+                           "pool leg ran in-process")
+    if pool_vs_serial < MIN_POOL_SPEEDUP:
+        return "missed", (f"POOL BAR MISSED: pool x{pool_vs_serial:.2f} "
+                          f"vs serial < x{MIN_POOL_SPEEDUP} with "
+                          f"{workers} workers")
+    return "held", (f"pool bar: x{pool_vs_serial:.2f} vs serial with "
+                    f"{workers} workers (bar x{MIN_POOL_SPEEDUP})")
 
 
 def main() -> int:
@@ -77,11 +98,17 @@ def main() -> int:
     if warm_stats["misses"] or warm_stats["stores"]:
         raise AssertionError(f"warm pass was not all-hits: {warm_stats}")
 
+    runs = len(build_plan())
+    workers = effective_workers(POOL_JOBS, runs)
+    pool_vs_serial = seconds["serial"] / seconds["pool"]
+    verdict, bar_line = pool_bar(pool_vs_serial, workers)
+
     report = {
         "grid": "fig3-style: (treadmarks, sgi) x sor_small x "
                 f"procs {list(PROCS)}, scale bench",
-        "runs": len(build_plan()),
+        "runs": runs,
         "pool_jobs": POOL_JOBS,
+        "workers_effective": workers,
         "cpu_count": os.cpu_count(),
         "seconds": {k: round(v, 4) for k, v in seconds.items()},
         "speedup_vs_serial": {
@@ -89,15 +116,22 @@ def main() -> int:
             for k, v in seconds.items() if k != "serial"},
         "cold_cache_stats": cold_stats,
         "warm_cache_stats": warm_stats,
+        "pool_bar": {
+            "what": "pool vs serial wall-clock on the grid",
+            "pool_vs_serial": round(pool_vs_serial, 2),
+            "bar": MIN_POOL_SPEEDUP,
+            "verdict": verdict,
+        },
         "determinism": "all configurations produced identical summaries",
     }
     for key, secs in seconds.items():
         print(f"{key:8s} {secs:8.3f}s  "
               f"(x{seconds['serial'] / secs:.2f} vs serial)")
     print(f"cold cache: {cold_stats}; warm cache: {warm_stats}")
+    print(bar_line)
 
     write_bench_json(OUT_PATH, report)
-    return 0
+    return 1 if verdict == "missed" else 0
 
 
 if __name__ == "__main__":

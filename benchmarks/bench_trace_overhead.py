@@ -6,9 +6,11 @@ Times fixed bench-scale SOR and TSP runs in three configurations:
 * ``metrics``  — breakdown accounting only (``keep_spans=False``),
 * ``full``     — spans + instants retained for Chrome export.
 
-Writes ``BENCH_trace_overhead.json`` at the repo root.  The acceptance
-bar is that the *disabled* path costs <5% over the seed baseline; the
-script also verifies that tracing never changes simulated cycles.
+Writes ``BENCH_trace_overhead.json`` at the repo root: the overhead of
+``metrics`` and ``full`` over ``off``.  The cost of the disabled path
+itself (its ``tracer.enabled`` tests) is not measured — that would
+need a build without the hooks.  The script also verifies that
+tracing never changes simulated cycles.
 
 Run with::
 

@@ -18,10 +18,9 @@ Quickstart::
         print(machine.name, base.seconds / result.seconds)
 
 Grids run through :class:`RunPlan`/:func:`execute_plan` (parallel,
-cached, deterministic), and the op vocabulary — including the batched
-:class:`OpBlock` form with :func:`fuse`/:func:`unfuse` — is re-exported
-here.  Everything in ``__all__`` is the stable public surface; the
-examples and the CLI are written against it.
+cached, deterministic), and the op vocabulary is re-exported here.
+Everything in ``__all__`` is the stable public surface; the examples
+and the CLI are written against it.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
@@ -30,8 +29,8 @@ paper-vs-measured record of every table and figure.
 from repro.ablate import (DEFAULT_ABLATION, MECHANISMS, AblationSpec,
                           parse_ablation)
 from repro.apps import (Acquire, AppContext, Application, Barrier, Compute,
-                        IlinkApp, OpBlock, Read, ReadBound, Release, SorApp,
-                        TspApp, UpdateBound, WaterApp, Write, fuse, unfuse)
+                        IlinkApp, Read, ReadBound, Release, SorApp, TspApp,
+                        UpdateBound, WaterApp, Write)
 from repro.check import checking
 from repro.errors import ConfigurationError, ConsistencyViolation
 from repro.harness.cache import ResultCache
@@ -69,9 +68,6 @@ __all__ = [
     "Barrier",
     "ReadBound",
     "UpdateBound",
-    "OpBlock",
-    "fuse",
-    "unfuse",
     # machines
     "Machine",
     "make_machine",

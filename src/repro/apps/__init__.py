@@ -16,9 +16,8 @@ shared accesses and synchronization.  The suite matches §2.3:
 
 from repro.apps.base import AppContext, Application
 from repro.apps.ilink import IlinkApp
-from repro.apps.ops import (Acquire, Barrier, Compute, OpBlock, Read,
-                            ReadBound, Release, UpdateBound, Write,
-                            fuse, unfuse)
+from repro.apps.ops import (Acquire, Barrier, Compute, Read, ReadBound,
+                            Release, UpdateBound, Write)
 from repro.apps.sor import SorApp
 from repro.apps.tsp import TspApp
 from repro.apps.water import WaterApp
@@ -34,9 +33,6 @@ __all__ = [
     "Barrier",
     "ReadBound",
     "UpdateBound",
-    "OpBlock",
-    "fuse",
-    "unfuse",
     "SorApp",
     "TspApp",
     "WaterApp",

@@ -14,7 +14,6 @@ paper's problem sizes tractable in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -99,113 +98,3 @@ class UpdateBound:
     value: float
     name: str = "bound"
 
-
-#: Operations that may be members of an :class:`OpBlock`.  All three
-#: are *result-free* (the machine resumes the program with ``None``)
-#: and synchronization-free, which is what makes a run of them safe to
-#: issue as one chunk: the program cannot branch on anything between
-#: the members, and data-race freedom (the LRC programming contract
-#: every app already obeys) guarantees no other processor's outcome
-#: depends on interleaving with the middle of the run.
-FUSIBLE = (Compute, Read, Write)
-
-Fusible = Union[Compute, Read, Write]
-
-
-@dataclass(frozen=True)
-class OpBlock:
-    """A fused run of consecutive ``Compute``/``Read``/``Write`` ops.
-
-    Applications yield one ``OpBlock`` where they used to yield its
-    members one at a time; the scheduler issues the members in order
-    without a generator round-trip per member.  A block is *scheduling
-    sugar, not timing semantics*: every member still resolves through
-    the machine's normal read/write/compute paths at its natural
-    granularity (cache lines, pages), completes through the event
-    heap at exactly the time per-op issue would, and observes the
-    same resource contention — so a fused run is cycle-for-cycle
-    identical to its unrolled form (pinned by ``tests/test_fused.py``
-    and fuzzed with randomized chunk boundaries).
-    """
-
-    ops: Tuple[Fusible, ...]
-
-    def __init__(self, ops: Iterable[Fusible]) -> None:
-        members = tuple(ops)
-        if not members:
-            raise ValueError("OpBlock needs at least one operation")
-        for op in members:
-            if not isinstance(op, FUSIBLE):
-                raise ValueError(
-                    f"only Compute/Read/Write can be fused, got {op!r}")
-        object.__setattr__(self, "ops", members)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __iter__(self) -> Iterator[Fusible]:
-        return iter(self.ops)
-
-
-def _advance(gen: Any, value: Any) -> Any:
-    """Resume ``gen`` with ``value`` (``next`` for plain iterators)."""
-    send = getattr(gen, "send", None)
-    if send is not None:
-        return send(value)
-    return next(gen)
-
-
-def fuse(stream: Iterable[Any]) -> Iterator[Any]:
-    """Collapse consecutive fusible operations of ``stream`` into blocks.
-
-    Synchronization and result-bearing operations pass through
-    unchanged — with their yielded-back values forwarded, so the
-    wrapper is transparent to programs that react to ``ReadBound`` /
-    ``UpdateBound`` results.  Runs of two or more ``Compute`` /
-    ``Read`` / ``Write`` ops become one :class:`OpBlock` (a lone
-    fusible op stays bare).  Fusible members are pulled ahead with
-    ``None`` results, exactly what per-op issue would have sent; the
-    program's own Python side effects between members therefore run
-    slightly earlier in *wall-clock* order, which data-race freedom
-    makes unobservable in simulated outcomes.
-    """
-    gen = iter(stream)
-    run: List[Fusible] = []
-    value: Any = None
-    while True:
-        try:
-            op = _advance(gen, value)
-        except StopIteration:
-            break
-        value = None
-        if isinstance(op, FUSIBLE):
-            run.append(op)
-            continue
-        if run:
-            yield run[0] if len(run) == 1 else OpBlock(run)
-            run = []
-        value = yield op
-    if run:
-        yield run[0] if len(run) == 1 else OpBlock(run)
-
-
-def unfuse(stream: Iterable[Any]) -> Iterator[Any]:
-    """Expand every :class:`OpBlock` of ``stream`` back into members.
-
-    The inverse view of :func:`fuse` (values yielded back by
-    non-member operations are forwarded); the differential harness
-    runs programs through this to pin fused == per-op behaviour.
-    """
-    gen = iter(stream)
-    value: Any = None
-    while True:
-        try:
-            op = _advance(gen, value)
-        except StopIteration:
-            break
-        value = None
-        if isinstance(op, OpBlock):
-            for member in op.ops:
-                yield member
-        else:
-            value = yield op

@@ -117,14 +117,14 @@ class SorApp(Application):
             for phase in range(2):
                 # The whole half-iteration — halo fetches, band read,
                 # relaxation compute, band write-back — is one
-                # synchronization-free run, issued as a single fused
-                # chunk per phase.  (The fixed boundary rows are never
+                # synchronization-free run, relaxed up front and then
+                # issued op by op.  (The fixed boundary rows are never
                 # written, so reading them is free of coherence
                 # traffic after warm-up.)  Red-black coloring makes
                 # the phase data-race free: the halo cells a band
                 # reads are the color its neighbours are *not*
-                # updating, so relaxing at chunk-issue time reads the
-                # same values per-op issue would have.
+                # updating, so relaxing before the first read issues
+                # reads the same values as relaxing after the last.
                 chunk = []
                 if lo - 1 >= 1 and proc > 0:
                     chunk.append(
@@ -141,7 +141,7 @@ class SorApp(Application):
                 chunk.append(ops.Compute(cells_per_phase * CYCLES_PER_CELL))
                 chunk.append(ops.Write("grid", band_off, band_nbytes,
                                        changed_bytes=changed))
-                yield ops.OpBlock(chunk)
+                yield from chunk
                 yield ops.Barrier()
 
     def _relax(self, grid: np.ndarray, lo: int, hi: int,

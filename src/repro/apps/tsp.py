@@ -268,9 +268,7 @@ class TspApp(Application):
                 slot = (len(queue) - 1) % self.queue_capacity
                 writes.append(
                     ops.Write("tsp_queue", slot * SLOT_BYTES, SLOT_BYTES))
-            # The pushes form a synchronization-free run inside the
-            # critical section: issue them as one chunk.
-            yield writes[0] if len(writes) == 1 else ops.OpBlock(writes)
+            yield from writes
             yield ops.Release(QUEUE_LOCK)
 
     def _finish_subproblem(self, ctx: AppContext, proc: int, dist,

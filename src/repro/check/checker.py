@@ -375,21 +375,18 @@ class DsmChecker(BaseChecker):
             trail=tuple(self._materialize(r) for r in self.trail))
 
 
-class SnoopChecker(BaseChecker):
-    """SWMR for :class:`repro.hw.snoop.SnoopingSystem`.
+class CacheSystemChecker(BaseChecker):
+    """Shared driver of the two hardware coherence checkers.
 
-    Bus operations pass the checker the set of lines they touched
-    (miss/ownership sets); assuming the invariant held before the
-    operation, only those lines can newly violate SWMR — a line held
-    EXCLUSIVE or MODIFIED anywhere must be resident in exactly one
-    cache — so the inline check probes just them across every cache.
-    A full sweep of all resident lines (vectorized: sort + neighbour
-    compare) still runs every :data:`SWEEP_INTERVAL` checked
-    operations and at the end of the run, as a backstop for
+    Accesses hand over the lines they touched; assuming the
+    invariants held before the operation, only those lines can newly
+    violate them, so :meth:`_lines_clean` probes just them inline.  A
+    full :meth:`_sweep` still runs every :data:`SWEEP_INTERVAL`
+    checked operations and at the end of the run, as a backstop for
     bookkeeping the touched sets don't cover (e.g. evictions).
     """
 
-    #: Checked operations between full cross-cache sweeps.
+    #: Checked operations between full sweeps.
     SWEEP_INTERVAL = 64
 
     def __init__(self, system: Any, config: CheckConfig) -> None:
@@ -410,8 +407,21 @@ class SnoopChecker(BaseChecker):
             if lines.size == 0 or self._lines_clean(lines):
                 return
             # Fall through: the sweep rediscovers the violation and
-            # raises with exact holder diagnostics.
+            # raises with exact per-line diagnostics.
         self._sweep(op, proc)
+
+    def finish(self) -> None:
+        self._sweep("final_sweep", -1)
+
+
+class SnoopChecker(CacheSystemChecker):
+    """SWMR for :class:`repro.hw.snoop.SnoopingSystem`.
+
+    Bus operations hand over their miss/ownership sets.  A line held
+    EXCLUSIVE or MODIFIED anywhere must be resident in exactly one
+    cache; the full sweep checks every resident line at once
+    (vectorized: sort + neighbour compare).
+    """
 
     def _lines_clean(self, lines: np.ndarray) -> bool:
         present = np.zeros(lines.shape, dtype=np.int64)
@@ -459,46 +469,16 @@ class SnoopChecker(BaseChecker):
                 f"cache {int(who[i])} while another cache holds a "
                 "copy", event)
 
-    def finish(self) -> None:
-        self._sweep("final_sweep", -1)
 
-
-class DirectoryChecker(BaseChecker):
+class DirectoryChecker(CacheSystemChecker):
     """Directory/cache agreement + SWMR for ``DirectorySystem``.
 
     Invariants: owned lines register exactly their owner as sharer; a
     line owned by cache *p* is resident nowhere else; every resident
     copy is registered in the sharer bitmap; and EXCLUSIVE/MODIFIED
-    copies coincide with directory ownership.  Like the snoop
-    checker, accesses hand over the lines they touched and only those
-    are probed inline; a full sweep of every cache and the whole
-    directory runs every :data:`SWEEP_INTERVAL` checked operations
-    and at the end of the run.
+    copies coincide with directory ownership.  The full sweep covers
+    every cache and the whole directory.
     """
-
-    #: Checked operations between full directory/cache sweeps.
-    SWEEP_INTERVAL = 64
-
-    def __init__(self, system: Any, config: CheckConfig) -> None:
-        super().__init__(config)
-        self.system = system
-        self._last_now = 0.0
-        self._ops_checked = 0
-
-    @property
-    def _now(self) -> float:
-        return self._last_now
-
-    def after_op(self, op: str, proc: int, now: float,
-                 lines: Optional[np.ndarray] = None) -> None:
-        self._last_now = now
-        self._ops_checked += 1
-        if lines is not None and self._ops_checked % self.SWEEP_INTERVAL:
-            if lines.size == 0 or self._lines_clean(lines):
-                return
-            # Fall through: the sweep rediscovers the violation and
-            # raises with exact per-line diagnostics.
-        self._sweep(op, proc)
 
     def _lines_clean(self, lines: np.ndarray) -> bool:
         system = self.system
@@ -577,6 +557,3 @@ class DirectoryChecker(BaseChecker):
                 self._fail(
                     f"cache {q} holds line {line} EXCLUSIVE/MODIFIED "
                     "without directory ownership", event)
-
-    def finish(self) -> None:
-        self._sweep("final_sweep", -1)

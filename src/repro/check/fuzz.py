@@ -150,62 +150,12 @@ def program_digest(program: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # the program as an Application
 # ----------------------------------------------------------------------
-def random_fuse(stream: Any, rng: np.random.Generator, *,
-                cut: float = 0.35):
-    """Re-chunk ``stream`` with seeded random fusion boundaries.
-
-    Consecutive fusible operations (``Compute``/``Read``/``Write``)
-    are grouped into :class:`~repro.apps.ops.OpBlock` chunks whose
-    boundaries fall at seeded random points, so the fuzzer exercises
-    block shapes no application would naturally emit — singletons,
-    long runs, cuts straight through read-modify-write sequences.
-    Synchronization and result-bearing operations pass through
-    unchanged with their sent-back values forwarded.  For a DRF
-    program chunking is semantics-free (see ``OpBlock``), so any
-    digest divergence against per-op issue is an engine bug.
-    """
-    gen = iter(stream)
-    run: List[Any] = []
-    value: Any = None
-
-    def flush():
-        block = run[0] if len(run) == 1 else ops.OpBlock(run)
-        run.clear()
-        return block
-
-    while True:
-        try:
-            op = ops._advance(gen, value)
-        except StopIteration:
-            break
-        value = None
-        if isinstance(op, ops.FUSIBLE):
-            run.append(op)
-            if rng.random() < cut:
-                yield flush()
-            continue
-        if run:
-            yield flush()
-        value = yield op
-    if run:
-        yield flush()
-
-
 class FuzzApp(Application):
-    """Executes one generated program on the simulator.
+    """Executes one generated program on the simulator."""
 
-    With ``chunk_seed`` set, every processor's operation stream is
-    re-chunked through :func:`random_fuse`, turning the cross-machine
-    differential into a fused-vs-per-op differential as well.
-    """
-
-    def __init__(self, program: Dict[str, Any],
-                 chunk_seed: Optional[int] = None) -> None:
+    def __init__(self, program: Dict[str, Any]) -> None:
         self.program = program
-        self.chunk_seed = chunk_seed
         self.name = f"fuzz-{program_digest(program)[:12]}"
-        if chunk_seed is not None:
-            self.name += f"-c{chunk_seed}"
 
     def regions(self, nprocs: int) -> Dict[str, int]:
         return {"fz": self.program["slots"] * SLOT_BYTES,
@@ -216,13 +166,8 @@ class FuzzApp(Application):
         ctx.store.view("lk", np.uint8)[:] = 0
 
     def programs(self, ctx: AppContext):
-        progs = [self._proc_program(ctx, proc)
-                 for proc in range(ctx.nprocs)]
-        if self.chunk_seed is None:
-            return progs
-        return [random_fuse(p, np.random.default_rng(
-                    (self.chunk_seed, proc)))
-                for proc, p in enumerate(progs)]
+        return [self._proc_program(ctx, proc)
+                for proc in range(ctx.nprocs)]
 
     def _proc_program(self, ctx: AppContext, proc: int):
         data = ctx.store.view("fz", np.uint8)
@@ -329,15 +274,8 @@ class FuzzOutcome:
 def run_program(program: Dict[str, Any],
                 machines: Optional[Sequence[Any]] = None, *,
                 jobs: Optional[int] = None,
-                history: bool = True,
-                chunk_seed: Optional[int] = None) -> FuzzOutcome:
+                history: bool = True) -> FuzzOutcome:
     """Run one program on every machine; diff images and verdicts.
-
-    With ``chunk_seed`` set, one extra leg runs the program on the
-    first machine with seeded-random :class:`~repro.apps.ops.OpBlock`
-    boundaries (:func:`random_fuse`); its digest and lock totals join
-    the differential, so fused issue is fuzzed against per-op issue
-    on every campaign program.
 
     The fast path executes all legs through one
     :class:`~repro.harness.parallel.RunPlan`; if anything raises, each
@@ -354,9 +292,6 @@ def run_program(program: Dict[str, Any],
     app = FuzzApp(program)
     nprocs = program["nprocs"]
     legs = [(machine, machine.name, app) for machine in machines]
-    if chunk_seed is not None:
-        legs.append((machines[0], f"{machines[0].name}+chunked",
-                     FuzzApp(program, chunk_seed=chunk_seed)))
     outcome = FuzzOutcome(program=program)
 
     with checking(history=history):
@@ -522,10 +457,6 @@ def fuzz_run(seed: int, iters: int, *,
              ) -> FuzzReport:
     """Replay regression programs, then ``iters`` fresh ones.
 
-    Every program (regression and fresh) also runs one chunked leg —
-    seeded-random OpBlock boundaries derived from the program digest —
-    differenced against the per-op legs; see :func:`run_program`.
-
     ``ablation_iters`` adds a random-ablation campaign after the
     regular iterations: each extra program carries a seeded random
     subset of DSM mechanisms switched off (``program["ablate"]``), so
@@ -536,14 +467,10 @@ def fuzz_run(seed: int, iters: int, *,
     report = FuzzReport(iterations=iters + ablation_iters,
                         programs_run=0)
 
-    def chunk_seed_of(program: Dict[str, Any]) -> int:
-        return int(program_digest(program)[:8], 16)
-
     def run_one(program: Dict[str, Any], label: str) -> None:
         report.programs_run += 1
         outcome = run_program(program, machines, jobs=jobs,
-                              history=history,
-                              chunk_seed=chunk_seed_of(program))
+                              history=history)
         if outcome.ok:
             return
         log(f"FAIL {label}: {outcome.reason}")
@@ -551,15 +478,12 @@ def fuzz_run(seed: int, iters: int, *,
             minimal = shrink_program(
                 outcome.program,
                 lambda p: not run_program(
-                    p, machines, jobs=jobs, history=history,
-                    chunk_seed=chunk_seed_of(p)).ok)
+                    p, machines, jobs=jobs, history=history).ok)
             outcome = run_program(minimal, machines, jobs=jobs,
-                                  history=history,
-                                  chunk_seed=chunk_seed_of(minimal))
+                                  history=history)
             if outcome.ok:  # shrink landed on a flaky boundary
                 outcome = run_program(program, machines, jobs=jobs,
-                                      history=history,
-                                      chunk_seed=chunk_seed_of(program))
+                                      history=history)
         if seeds_dir:
             path = save_seed(outcome.program, outcome.reason, seeds_dir)
             log(f"  minimal repro saved to {path}")

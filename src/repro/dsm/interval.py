@@ -110,17 +110,17 @@ class IntervalLog:
             for index in range(lo + 1, hi + 1):
                 yield self._per_node[node][index - 1]
 
-    def notices_between(self, vc: VectorClock, upto: VectorClock) -> int:
-        """Number of write notices in :meth:`newer_than`."""
-        return sum(iv.num_notices for iv in self.newer_than(vc, upto))
+    def notices_and_bytes(self, vc: VectorClock,
+                          upto: VectorClock) -> Tuple[int, int]:
+        """Write notices in :meth:`newer_than` and their wire bytes.
 
-    def consistency_bytes(self, vc: VectorClock, upto: VectorClock) -> int:
-        """Wire bytes of the notice set plus one vector clock.
-
-        Notices travel run-compressed per interval (see
-        :data:`NOTICE_RUN_BYTES`).
+        The bytes cover the notice set plus one vector clock; notices
+        travel run-compressed per interval (see
+        :data:`NOTICE_RUN_BYTES`).  One walk yields both.
         """
-        total = upto.wire_bytes()
+        notices = 0
+        nbytes = upto.wire_bytes()
         for interval in self.newer_than(vc, upto):
-            total += interval.wire_bytes()
-        return total
+            notices += interval.num_notices
+            nbytes += interval.wire_bytes()
+        return notices, nbytes

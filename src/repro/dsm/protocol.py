@@ -197,14 +197,14 @@ class TreadMarksDsm:
         snapshot = self.vcs[src].copy()
         key = (src, dst)
         self._grant_snapshots.setdefault(key, deque()).append(snapshot)
-        self.counters.write_notices_sent += self.log.notices_between(
-            self.vcs[dst], snapshot)
-        nbytes = self.log.consistency_bytes(self.vcs[dst], snapshot)
-        return self._consistency_payload(src, dst, nbytes)
+        return self._consistency_payload(src, dst, self.vcs[dst], snapshot)
 
-    def _consistency_payload(self, src: int, dst: int,
-                             nbytes: int) -> int:
-        """Consistency bytes a sync message carries — or, with
+    def _consistency_payload(self, src: int, dst: int, seen: VectorClock,
+                             upto: VectorClock) -> int:
+        """Consistency bytes a sync message from ``src`` to ``dst``
+        carries: the write notices ``upto`` holds beyond ``seen`` (one
+        walk of the interval log counts them into
+        ``write_notices_sent`` and sizes them) — or, with
         write-notice piggybacking ablated off, zero: the notices then
         travel as one standalone ``WRITE_NOTICE`` message on the same
         edge, paying its own header and handler occupancy.  The
@@ -212,6 +212,8 @@ class TreadMarksDsm:
         omniscient-log simplification of DESIGN.md §4.4); the ablation
         models the transport cost of not piggybacking, not a weaker
         ordering."""
+        notices, nbytes = self.log.notices_and_bytes(seen, upto)
+        self.counters.write_notices_sent += notices
         if self.ablate.piggyback or nbytes == 0 or src == dst:
             return nbytes
         self.net.send(src, dst, nbytes, kind=MsgKind.WRITE_NOTICE,
@@ -272,11 +274,8 @@ class TreadMarksDsm:
     # ==================================================================
     def _arrive_payload(self, node: int) -> int:
         mgr = self.barrier_manager
-        self.counters.write_notices_sent += self.log.notices_between(
-            self.vcs[mgr], self.vcs[node])
-        nbytes = self.log.consistency_bytes(self.vcs[mgr],
-                                            self.vcs[node])
-        return self._consistency_payload(node, mgr, nbytes)
+        return self._consistency_payload(node, mgr, self.vcs[mgr],
+                                         self.vcs[node])
 
     def _merge_all_clocks(self) -> None:
         self.counters.barriers += 1
@@ -290,12 +289,8 @@ class TreadMarksDsm:
     def _depart_payload(self, node: int) -> int:
         if self._merged_vc is None:
             raise ProtocolError("departure before all arrivals merged")
-        self.counters.write_notices_sent += self.log.notices_between(
-            self.vcs[node], self._merged_vc)
-        nbytes = self.log.consistency_bytes(self.vcs[node],
-                                            self._merged_vc)
         return self._consistency_payload(self.barrier_manager, node,
-                                         nbytes)
+                                         self.vcs[node], self._merged_vc)
 
     def _on_depart(self, node: int) -> None:
         if self._merged_vc is None:

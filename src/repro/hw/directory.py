@@ -19,7 +19,7 @@ import numpy as np
 from repro.check.checker import DirectoryChecker, active_check_config
 from repro.errors import ConfigurationError
 from repro.mem import directcache
-from repro.mem.directcache import DirectMappedCache, EXCLUSIVE, MODIFIED
+from repro.mem.directcache import DirectMappedCache, EXCLUSIVE
 from repro.net.crossbar import CrossbarNetwork
 from repro.stats.counters import Counters
 
@@ -429,24 +429,3 @@ class DirectorySystem:
         mine = gone[self.owner[gone] == proc]
         self.owner[mine] = -1
         self.sharers[gone] &= ~self._bit(proc)
-
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        """Directory invariants (used by tests).
-
-        A line with an owner has exactly that sharer bit set; a cache
-        line in MODIFIED state must be registered as owned by that
-        cache.
-        """
-        owned = self.owner >= 0
-        if owned.any():
-            bits = self.sharers[owned]
-            expect = np.uint64(1) << self.owner[owned].astype(np.uint64)
-            if not (bits == expect).all():
-                raise AssertionError("owned lines must have a single sharer")
-        for proc, cache in enumerate(self.caches):
-            modified = cache.tags[cache.states == MODIFIED]
-            if (self.owner[modified] != proc).any():
-                raise AssertionError(
-                    f"cache {proc} holds MODIFIED lines the directory "
-                    "does not register as its own")

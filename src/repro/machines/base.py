@@ -58,13 +58,6 @@ class Runtime(OpHandler):
     # ------------------------------------------------------------------
     def handle(self, task: ProcTask, op: Any) -> None:
         """Dispatch one application op to the machine-specific hook."""
-        if type(op) is ops.OpBlock:
-            # ProcTask unrolls chunks member-by-member before dispatch
-            # (see repro.sim.task); a block reaching the runtime means
-            # a custom task skipped that layer.
-            raise SimulationError(
-                "OpBlock must be issued through ProcTask's chunked "
-                "scheduler, not handed to the runtime directly")
         tracer = self.engine.tracer
         if tracer.enabled:
             category, name = op_category(op)

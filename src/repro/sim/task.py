@@ -7,24 +7,12 @@ which later calls :meth:`ProcTask.resume` with the completion time and
 the operation's result value.  The result is sent back into the
 generator, so applications can react to simulated outcomes (e.g. the
 currently-visible TSP bound).
-
-Chunked issue: a yielded :class:`~repro.apps.ops.OpBlock` parks its
-member operations on the task, and subsequent steps drain the chunk —
-one member per step, through the same handler dispatch and the same
-heap-mediated completion as per-op issue — without resuming the
-generator until the chunk is exhausted.  Fused execution is therefore
-cycle-for-cycle and event-for-event identical to unrolled execution
-(same completion times, same scheduling order, same resource
-contention); what it removes is the generator suspend/resume and the
-application-frame bookkeeping per member, which is pure interpreter
-overhead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Generator, Optional
 
-from repro.apps.ops import OpBlock
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
 
@@ -62,9 +50,6 @@ class ProcTask:
         self.current_op: Any = None
         self._last_resume = 0
         self._waiting = False
-        #: Remaining members of the op chunk being drained, if any.
-        self._chunk: Optional[Tuple[Any, ...]] = None
-        self._chunk_next = 0
         engine.register_task(self)
 
     def __repr__(self) -> str:
@@ -113,7 +98,6 @@ class ProcTask:
         self.finish_time = at
         self.current_op = None
         self._waiting = False
-        self._chunk = None
 
     # ------------------------------------------------------------------
     def _step(self, value: Any) -> None:
@@ -125,23 +109,6 @@ class ProcTask:
             # The operation the processor was blocked on ends now; its
             # whole window is attributed to that operation's category.
             tracer.end_op(self.proc_id, self.engine.now)
-        chunk = self._chunk
-        if chunk is not None:
-            # Drain the parked chunk before resuming the generator.
-            # Members are result-free, so the completion value of the
-            # previous member (always None) is simply dropped —
-            # exactly what per-op issue would have sent into the
-            # generator and had ignored.
-            i = self._chunk_next
-            if i < len(chunk):
-                self._chunk_next = i + 1
-                op = chunk[i]
-                self.ops_issued += 1
-                self.current_op = op
-                self._waiting = True
-                self.handler.handle(self, op)
-                return
-            self._chunk = None
         try:
             op = self.gen.send(value)
         except StopIteration:
@@ -149,10 +116,6 @@ class ProcTask:
             self.finish_time = self.engine.now
             self.current_op = None
             return
-        if type(op) is OpBlock:
-            self._chunk = op.ops
-            self._chunk_next = 1
-            op = op.ops[0]
         self.ops_issued += 1
         self.current_op = op
         self._waiting = True

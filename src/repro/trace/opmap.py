@@ -20,9 +20,6 @@ _OP_MAP: Dict[type, Tuple[Category, str]] = {
     ops.Barrier: (Category.SYNC, "barrier"),
     ops.ReadBound: (Category.SYNC, "read_bound"),
     ops.UpdateBound: (Category.SYNC, "update_bound"),
-    # Blocks are unrolled before dispatch, so members trace under
-    # their own categories; the entry only covers diagnostic callers.
-    ops.OpBlock: (Category.COMPUTE, "op_block"),
 }
 
 

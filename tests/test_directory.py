@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check import CheckConfig, ConsistencyViolation, DirectoryChecker
 from repro.hw.directory import DirectorySystem, popcount
 from repro.mem import directcache
 from repro.mem.directcache import (DirectMappedCache, MODIFIED,
@@ -36,6 +37,11 @@ def make_system(nprocs=4, cache_lines=16):
         line_bytes=LINE, local_miss_cycles=20,
         remote_clean_cycles=90, remote_dirty_cycles=130)
     return system, counters
+
+
+def check_directory(system):
+    """Full directory/cache agreement sweep; raises on a violation."""
+    DirectoryChecker(system, CheckConfig()).finish()
 
 
 def test_popcount():
@@ -105,7 +111,7 @@ def test_eviction_deregisters():
     # Reading 4 conflicting lines evicts the dirty ones.
     system.read(0, 4, 8, now=100)
     assert (system.owner[np.arange(4)] == -1).all()
-    system.check_invariants()
+    check_directory(system)
 
 
 def test_bulk_refetch_in_one_access_keeps_registration():
@@ -123,7 +129,7 @@ def test_bulk_refetch_in_one_access_keeps_registration():
     assert system.caches[1].state_of(32) == MODIFIED
     assert system.owner[32] == 1
     assert system.sharers[32] == np.uint64(1) << np.uint64(1)
-    system.check_invariants()
+    check_directory(system)
     # The interim eviction's writeback must still invalidate cleanly:
     # another writer takes the line over in full.
     system.write(2, 32, 33, now=20_000)
@@ -142,16 +148,16 @@ def test_directory_invariants_after_random_script(rng):
             now = system.read(proc, first, first + length, now)
         else:
             now = system.write(proc, first, first + length, now)
-    system.check_invariants()
+    check_directory(system)
 
 
 def test_check_invariants_catches_unowned_modified_line():
     system, _ = make_system()
     system.write(0, 0, 1, now=0)
-    system.check_invariants()
+    check_directory(system)
     system.owner[0] = -1
-    with pytest.raises(AssertionError, match="MODIFIED"):
-        system.check_invariants()
+    with pytest.raises(ConsistencyViolation, match="MODIFIED"):
+        check_directory(system)
 
 
 def _run_script(script):

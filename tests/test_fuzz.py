@@ -180,53 +180,3 @@ def test_fuzz_run_replays_regressions_first(tmp_path):
     assert report.programs_run == 2         # 1 regression + 1 random
     assert report.ok
 
-
-# ----------------------------------------------------------------------
-# randomized chunk boundaries
-# ----------------------------------------------------------------------
-
-def test_random_fuse_preserves_op_sequence():
-    import numpy as np
-
-    from repro.apps import ops
-    from repro.check.fuzz import random_fuse
-
-    stream = [ops.Compute(1), ops.Read("r", 0, 8), ops.Write("r", 0, 8),
-              ops.Barrier(), ops.Compute(2), ops.Acquire(0),
-              ops.Compute(3), ops.Compute(4), ops.Release(0)]
-    for seed in range(6):
-        out = list(random_fuse(iter(stream),
-                               np.random.default_rng(seed)))
-        flat = [m for op in out
-                for m in (op.ops if isinstance(op, ops.OpBlock) else (op,))]
-        assert flat == stream
-        # Chunking never crosses a non-fusible op.
-        for op in out:
-            if isinstance(op, ops.OpBlock):
-                assert all(isinstance(m, ops.FUSIBLE) for m in op)
-
-
-def test_random_fuse_boundaries_are_seeded():
-    import numpy as np
-
-    from repro.apps import ops
-    from repro.check.fuzz import random_fuse
-
-    stream = [ops.Compute(c) for c in range(12)]
-
-    def shape(seed):
-        return tuple(len(op) if isinstance(op, ops.OpBlock) else 1
-                     for op in random_fuse(iter(stream),
-                                           np.random.default_rng(seed)))
-
-    assert shape(3) == shape(3)
-    assert any(shape(a) != shape(b)
-               for a in range(4) for b in range(4) if a != b)
-
-
-def test_differential_run_with_chunked_leg_agrees():
-    outcome = run_program(generate_program(4321), chunk_seed=7)
-    assert outcome.ok, outcome.reason
-    assert len(outcome.verdicts) == 6
-    assert outcome.verdicts[-1].machine.endswith("+chunked")
-    assert len({v.digest for v in outcome.verdicts}) == 1

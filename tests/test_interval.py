@@ -78,14 +78,13 @@ def test_notices_between_and_consistency_bytes():
     log.append(make_interval(0, 1, [1, 2, 3], width=2))
     seen = VectorClock(entries=[0, 0])
     upto = VectorClock(entries=[1, 0])
-    assert log.notices_between(seen, upto) == 3
     expected = (upto.wire_bytes() + INTERVAL_HEADER_BYTES +
                 NOTICE_RUN_BYTES)  # pages 1..3 are one run
-    assert log.consistency_bytes(seen, upto) == expected
+    assert log.notices_and_bytes(seen, upto) == (3, expected)
 
 
 def test_equal_clocks_nothing_new():
     log = IntervalLog(2)
     log.append(make_interval(0, 1, [1], width=2))
     vc = VectorClock(entries=[1, 0])
-    assert log.notices_between(vc, vc) == 0
+    assert log.notices_and_bytes(vc, vc) == (0, vc.wire_bytes())

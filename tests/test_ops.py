@@ -46,56 +46,3 @@ def test_bound_ops_defaults():
     u = ops.UpdateBound(42.0)
     assert u.value == 42.0 and u.name == "bound"
 
-
-# ----------------------------------------------------------------------
-# OpBlock and the fuse/unfuse views
-# ----------------------------------------------------------------------
-
-def test_opblock_rejects_empty_and_non_fusible():
-    with pytest.raises(ValueError):
-        ops.OpBlock(())
-    with pytest.raises(ValueError):
-        ops.OpBlock([ops.Compute(1), ops.Barrier()])
-    with pytest.raises(ValueError):
-        ops.OpBlock([ops.Acquire(0)])
-
-
-def test_opblock_is_a_sized_iterable_of_its_members():
-    members = (ops.Compute(5), ops.Read("r", 0, 8), ops.Write("r", 0, 8))
-    block = ops.OpBlock(members)
-    assert len(block) == 3
-    assert tuple(block) == members
-
-
-def test_fuse_collapses_runs_and_passes_sync_through():
-    stream = [ops.Compute(1), ops.Read("r", 0, 8), ops.Barrier(),
-              ops.Write("r", 0, 8), ops.Acquire(0), ops.Release(0),
-              ops.Compute(2), ops.Compute(3)]
-    out = list(ops.fuse(iter(stream)))
-    assert isinstance(out[0], ops.OpBlock)
-    assert tuple(out[0]) == (stream[0], stream[1])
-    assert out[1] is stream[2]
-    assert out[2] is stream[3]          # lone fusible op stays bare
-    assert out[3] is stream[4] and out[4] is stream[5]
-    assert tuple(out[5]) == (stream[6], stream[7])
-
-
-def test_unfuse_inverts_fuse():
-    stream = [ops.Compute(1), ops.Read("r", 0, 8), ops.Write("r", 8, 8),
-              ops.Barrier(), ops.Compute(4)]
-    assert list(ops.unfuse(ops.fuse(iter(stream)))) == stream
-
-
-def test_fuse_forwards_sent_values_for_sync_ops():
-    def program():
-        got = yield ops.ReadBound()
-        seen.append(got)
-        yield ops.Compute(1)
-
-    seen = []
-    gen = ops.fuse(program())
-    op = next(gen)
-    assert isinstance(op, ops.ReadBound)
-    op = gen.send(99.5)                 # result reaches the program
-    assert seen == [99.5]
-    assert isinstance(op, ops.Compute)
